@@ -107,30 +107,40 @@ void Engine::record(RecordType type, json::Value data) {
 }
 
 void Engine::append_record(RecordType type, json::Value data) {
-  std::string append_error;
+  std::vector<std::string> errors;
   {
     const std::lock_guard<std::mutex> lock(journal_mutex_);
     if (options_.journal == nullptr) return;
     JournalRecord record{type, std::move(data)};
-    auto appended = options_.journal->append(record.type, record.data);
-    if (!appended.ok()) append_error = appended.error_message();
     // The live tracker mirrors what a replay of the journal would
     // produce; feeding it here is what makes snapshots compacted state
     // rather than a second log. Tracker errors are impossible for
-    // records the engine itself produced, so they are not fatal.
+    // records the engine itself produced, so they are not fatal. It
+    // reads the record before the journal takes it over, which saves a
+    // copy of every record.
     (void)tracker_.apply(record);
+    auto appended = options_.journal->append(type, std::move(record.data));
+    if (!appended.ok()) {
+      errors.push_back("journal append failed: " + appended.error_message());
+    }
     ++records_appended_;
     if (options_.snapshot_every > 0 &&
         records_appended_ % options_.snapshot_every == 0) {
-      (void)options_.journal->append(RecordType::kSnapshot,
-                                     tracker_.to_snapshot());
+      // A refused snapshot loses nothing: replay falls back to the
+      // previous snapshot plus the records after it.
+      auto snapshot = options_.journal->append(RecordType::kSnapshot,
+                                               tracker_.to_snapshot());
+      if (!snapshot.ok()) {
+        errors.push_back("journal snapshot skipped: " +
+                         snapshot.error_message());
+      }
     }
   }
-  if (!append_error.empty()) {
+  for (std::string& error : errors) {
     StatusEvent event;
     event.time_seconds = to_seconds(scheduler_.now());
     event.type = StatusEvent::Type::kError;
-    event.detail = "journal append failed: " + append_error;
+    event.detail = std::move(error);
     log_event(std::move(event));
   }
 }
@@ -149,16 +159,9 @@ StrategySnapshot Engine::snapshot_from_resume(
   snapshot.checks_executed = rs.checks_executed;
   snapshot.history = rs.history;
   if (strategy.terminal) {
-    runtime::Duration specified{0};
-    for (const StateVisit& visit : rs.history) {
-      const core::StateDef* state = strategy.def.find_state(visit.state);
-      if (state != nullptr && !state->is_final()) {
-        specified += state->duration();
-      }
-    }
     snapshot.enactment_delay_seconds =
         to_seconds(rs.finished_at) - to_seconds(rs.started_at) -
-        std::chrono::duration<double>(specified).count();
+        std::chrono::duration<double>(strategy.specified).count();
   }
   return snapshot;
 }
@@ -220,24 +223,12 @@ util::Result<void> Engine::reconcile() {
     ready_.store(true);
     return {};
   }
-  std::map<std::string, StateTracker::Intent> intents;
-  std::map<std::string, StateTracker::Intent> fleet_intents;
-  std::map<std::string, StateTracker::Intent> region_intents;
-  std::map<std::string, StateTracker::Strategy> strategies;
-  {
-    const std::lock_guard<std::mutex> lock(journal_mutex_);
-    intents = tracker_.intents();
-    fleet_intents = tracker_.fleet_intents();
-    region_intents = tracker_.region_intents();
-    strategies = tracker_.strategies();
-  }
+  const JournaledIntents journaled = journaled_intents();
   const runtime::Time now = scheduler_.now();
-  for (const auto& [service_name, intent] : intents) {
-    const core::ServiceDef* service = nullptr;
-    if (const auto it = strategies.find(intent.strategy_id);
-        it != strategies.end()) {
-      service = it->second.def.find_service(service_name);
-    }
+  for (const auto& [service_name, intent] : journaled.intents) {
+    const auto service_it = journaled.services.find(service_name);
+    const core::ServiceDef* service =
+        service_it != journaled.services.end() ? &service_it->second : nullptr;
     std::string action;
     if (service == nullptr) {
       action = "skipped: service not in journaled strategy definition";
@@ -247,12 +238,12 @@ util::Result<void> Engine::reconcile() {
       // Regions at (or past) their floor ack as no-ops; partitioned
       // regions that come back get the config re-pushed with the
       // original epoch (the proxy dedupes).
-      const auto fleet_it = fleet_intents.find(service_name);
+      const auto fleet_it = journaled.fleet.find(service_name);
       std::string detail;
       converge_regions(
           *service,
-          fleet_it != fleet_intents.end() ? &fleet_it->second : nullptr,
-          region_intents, now, detail);
+          fleet_it != journaled.fleet.end() ? &fleet_it->second : nullptr,
+          journaled.regions, now, detail);
       action = "fleet: " + detail;
     } else {
       auto fetched = proxies_.fetch(*service);
@@ -285,6 +276,21 @@ util::Result<void> Engine::reconcile() {
   }
   ready_.store(true);
   return {};
+}
+
+Engine::JournaledIntents Engine::journaled_intents() {
+  const std::lock_guard<std::mutex> lock(journal_mutex_);
+  JournaledIntents journaled{tracker_.intents(), tracker_.fleet_intents(),
+                             tracker_.region_intents(), {}};
+  for (const auto& [service_name, intent] : journaled.intents) {
+    const auto it = tracker_.strategies().find(intent.strategy_id);
+    if (it == tracker_.strategies().end()) continue;
+    if (const core::ServiceDef* service =
+            it->second.def.find_service(service_name)) {
+      journaled.services.emplace(service_name, *service);
+    }
+  }
+  return journaled;
 }
 
 int Engine::converge_regions(
@@ -345,32 +351,20 @@ util::Result<int> Engine::resync_regions() {
   if (options_.journal == nullptr) {
     return util::Result<int>::error("engine has no journal to resync from");
   }
-  std::map<std::string, StateTracker::Intent> intents;
-  std::map<std::string, StateTracker::Intent> fleet_intents;
-  std::map<std::string, StateTracker::Intent> region_intents;
-  std::map<std::string, StateTracker::Strategy> strategies;
-  {
-    const std::lock_guard<std::mutex> lock(journal_mutex_);
-    intents = tracker_.intents();
-    fleet_intents = tracker_.fleet_intents();
-    region_intents = tracker_.region_intents();
-    strategies = tracker_.strategies();
-  }
+  const JournaledIntents journaled = journaled_intents();
   const runtime::Time now = scheduler_.now();
   int total = 0;
-  for (const auto& [service_name, intent] : intents) {
-    const core::ServiceDef* service = nullptr;
-    if (const auto it = strategies.find(intent.strategy_id);
-        it != strategies.end()) {
-      service = it->second.def.find_service(service_name);
-    }
+  for (const auto& [service_name, intent] : journaled.intents) {
+    const auto service_it = journaled.services.find(service_name);
+    const core::ServiceDef* service =
+        service_it != journaled.services.end() ? &service_it->second : nullptr;
     if (service == nullptr || !service->federated()) continue;
-    const auto fleet_it = fleet_intents.find(service_name);
+    const auto fleet_it = journaled.fleet.find(service_name);
     std::string detail;
     const int resynced = converge_regions(
         *service,
-        fleet_it != fleet_intents.end() ? &fleet_it->second : nullptr,
-        region_intents, now, detail);
+        fleet_it != journaled.fleet.end() ? &fleet_it->second : nullptr,
+        journaled.regions, now, detail);
     total += resynced;
     if (resynced > 0) {
       append_record(
@@ -410,15 +404,22 @@ void Engine::on_event(StatusEvent event, const StatusListener& extra) {
           record.status = ExecutionStatus::kRunning;
           record.started_seconds = event.time_seconds;
           break;
-        case StatusEvent::Type::kStateEntered:
+        case StatusEvent::Type::kStateEntered: {
           if (!record.current_state.empty()) ++record.transitions;
           record.current_state = event.state;
-          record.history.push_back(StateVisit{
-              event.state,
-              std::chrono::duration_cast<runtime::Time>(
-                  std::chrono::duration<double>(event.time_seconds)),
-              runtime::Time{0}, 0.0, false});
+          const auto entered = std::chrono::duration_cast<runtime::Time>(
+              std::chrono::duration<double>(event.time_seconds));
+          // A strategy resumed after its state completed never sees that
+          // state's kStateCompleted; close the visit on entry, as the
+          // journal replay does.
+          if (!record.history.empty() &&
+              record.history.back().exited == runtime::Time{0}) {
+            record.history.back().exited = entered;
+          }
+          record.history.push_back(
+              StateVisit{event.state, entered, runtime::Time{0}, 0.0, false});
           break;
+        }
         case StatusEvent::Type::kCheckExecuted:
           ++record.checks_executed;
           break;

@@ -160,6 +160,17 @@ class Engine : private DurabilitySink {
   [[nodiscard]] static StrategySnapshot snapshot_from_resume(
       const std::string& id, const StateTracker::Strategy& strategy);
 
+  /// The journaled apply intents, plus the ServiceDef each intent's
+  /// service has in the strategy that journaled it (copied under the
+  /// journal mutex for reconcile() and resync_regions()).
+  struct JournaledIntents {
+    std::map<std::string, StateTracker::Intent> intents;
+    std::map<std::string, StateTracker::Intent> fleet;
+    std::map<std::string, StateTracker::Intent> regions;
+    std::map<std::string, core::ServiceDef> services;
+  };
+  [[nodiscard]] JournaledIntents journaled_intents();
+
   /// Converges every region of a federated service to the intent's
   /// fleet epoch (fetch, re-apply when behind, emit kRegionResynced).
   /// Appends "region=verdict" pairs to `detail`; returns the number of

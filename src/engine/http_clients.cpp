@@ -31,14 +31,38 @@ util::Result<std::optional<double>> HttpMetricsClient::query(
 
 util::Result<void> HttpProxyController::apply(
     const core::ServiceDef& service, const proxy::ProxyConfig& config) {
+  return put_config("service '" + service.name + "'", service.proxy_admin_host,
+                    service.proxy_admin_port, config);
+}
+
+util::Result<ProxyStateView> HttpProxyController::fetch(
+    const core::ServiceDef& service) {
+  return get_config("service '" + service.name + "'", service.proxy_admin_host,
+                    service.proxy_admin_port);
+}
+
+util::Result<void> HttpProxyController::apply_region(
+    const core::ServiceDef& service, const core::RegionDef& region,
+    const proxy::ProxyConfig& config) {
+  return put_config("region '" + service.name + "/" + region.name + "'",
+                    region.proxy_admin_host, region.proxy_admin_port, config);
+}
+
+util::Result<ProxyStateView> HttpProxyController::fetch_region(
+    const core::ServiceDef& service, const core::RegionDef& region) {
+  return get_config("region '" + service.name + "/" + region.name + "'",
+                    region.proxy_admin_host, region.proxy_admin_port);
+}
+
+util::Result<void> HttpProxyController::put_config(
+    const std::string& owner, const std::string& host, std::uint16_t port,
+    const proxy::ProxyConfig& config) {
   using R = util::Result<void>;
-  if (service.proxy_admin_host.empty() || service.proxy_admin_port == 0) {
-    return R::error("service '" + service.name +
-                    "' has no proxy admin endpoint");
+  if (host.empty() || port == 0) {
+    return R::error(owner + " has no proxy admin endpoint");
   }
-  const std::string url = "http://" + service.proxy_admin_host + ":" +
-                          std::to_string(service.proxy_admin_port) +
-                          "/admin/config";
+  const std::string url =
+      "http://" + host + ":" + std::to_string(port) + "/admin/config";
   auto response =
       client_.put(url, config.to_json().dump(), "application/json");
   if (!response.ok()) return R::error(response.error_message());
@@ -50,16 +74,14 @@ util::Result<void> HttpProxyController::apply(
   return {};
 }
 
-util::Result<ProxyStateView> HttpProxyController::fetch(
-    const core::ServiceDef& service) {
+util::Result<ProxyStateView> HttpProxyController::get_config(
+    const std::string& owner, const std::string& host, std::uint16_t port) {
   using R = util::Result<ProxyStateView>;
-  if (service.proxy_admin_host.empty() || service.proxy_admin_port == 0) {
-    return R::error("service '" + service.name +
-                    "' has no proxy admin endpoint");
+  if (host.empty() || port == 0) {
+    return R::error(owner + " has no proxy admin endpoint");
   }
-  const std::string url = "http://" + service.proxy_admin_host + ":" +
-                          std::to_string(service.proxy_admin_port) +
-                          "/admin/config";
+  const std::string url =
+      "http://" + host + ":" + std::to_string(port) + "/admin/config";
   auto response = client_.get(url);
   if (!response.ok()) return R::error(response.error_message());
   if (response.value().status != 200) {

@@ -22,7 +22,8 @@ class HttpMetricsClient final : public MetricsClient {
 
 /// Pushes routing tables via PUT /admin/config on each proxy; reads
 /// them (plus the persisted config epoch) back via GET /admin/config
-/// for crash-recovery reconciliation.
+/// for crash-recovery reconciliation. A federated service's region
+/// calls target that region's own proxy admin endpoint.
 class HttpProxyController final : public ProxyController {
  public:
   HttpProxyController() = default;
@@ -30,8 +31,21 @@ class HttpProxyController final : public ProxyController {
   util::Result<void> apply(const core::ServiceDef& service,
                            const proxy::ProxyConfig& config) override;
   util::Result<ProxyStateView> fetch(const core::ServiceDef& service) override;
+  util::Result<void> apply_region(const core::ServiceDef& service,
+                                  const core::RegionDef& region,
+                                  const proxy::ProxyConfig& config) override;
+  util::Result<ProxyStateView> fetch_region(
+      const core::ServiceDef& service, const core::RegionDef& region) override;
 
  private:
+  /// `owner` names the service (or service/region) in error messages.
+  util::Result<void> put_config(const std::string& owner,
+                                const std::string& host, std::uint16_t port,
+                                const proxy::ProxyConfig& config);
+  util::Result<ProxyStateView> get_config(const std::string& owner,
+                                          const std::string& host,
+                                          std::uint16_t port);
+
   http::HttpClient client_;
 };
 

@@ -17,15 +17,12 @@ namespace {
 using util::Result;
 
 constexpr std::size_t kFrameHeader = 8;  // u32 length + u32 crc32
-// A frame longer than this is treated as corruption, not a record: the
-// length field most likely contains garbage from a torn write.
-constexpr std::uint32_t kMaxRecordBytes = 64u * 1024u * 1024u;
 
-void put_u32_le(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xFFu));
-  out.push_back(static_cast<char>((v >> 8) & 0xFFu));
-  out.push_back(static_cast<char>((v >> 16) & 0xFFu));
-  out.push_back(static_cast<char>((v >> 24) & 0xFFu));
+void put_u32_le(char* out, std::uint32_t v) {
+  out[0] = static_cast<char>(v & 0xFFu);
+  out[1] = static_cast<char>((v >> 8) & 0xFFu);
+  out[2] = static_cast<char>((v >> 16) & 0xFFu);
+  out[3] = static_cast<char>((v >> 24) & 0xFFu);
 }
 
 std::uint32_t get_u32_le(const char* p) {
@@ -96,16 +93,23 @@ std::optional<RecordType> record_type_from_name(std::string_view name) {
 // Framing
 
 std::string frame_record(RecordType type, const json::Value& data) {
-  json::Object envelope;
-  envelope["type"] = record_type_name(type);
-  envelope["data"] = data;
-  const std::string payload = json::Value(std::move(envelope)).dump();
-
+  // Written around data.dump() without copying `data` into an envelope
+  // object. The bytes must equal the dump() of {"data":...,"type":...},
+  // whose keys sort "data" first (journal_test checks this).
+  const std::string body = data.dump();
+  const char* const name = record_type_name(type);
   std::string frame;
-  frame.reserve(kFrameHeader + payload.size());
-  put_u32_le(frame, static_cast<std::uint32_t>(payload.size()));
-  put_u32_le(frame, util::crc32(payload));
-  frame += payload;
+  frame.reserve(kFrameHeader + body.size() + std::strlen(name) + 20);
+  frame.append(kFrameHeader, '\0');
+  frame += "{\"data\":";
+  frame += body;
+  frame += ",\"type\":\"";
+  frame += name;
+  frame += "\"}";
+  const std::string_view payload =
+      std::string_view(frame).substr(kFrameHeader);
+  put_u32_le(frame.data(), static_cast<std::uint32_t>(payload.size()));
+  put_u32_le(frame.data() + 4, util::crc32(payload));
   return frame;
 }
 
@@ -206,6 +210,15 @@ FileJournal::~FileJournal() {
 
 Result<void> FileJournal::append(RecordType type, json::Value data) {
   const std::string frame = frame_record(type, data);
+  if (frame.size() - kFrameHeader > kMaxRecordBytes) {
+    // The reader would take this frame for a torn tail and drop it with
+    // everything after it; refuse it instead and write nothing.
+    return Result<void>::error(
+        std::string(record_type_name(type)) + " record of " +
+        std::to_string(frame.size() - kFrameHeader) +
+        " bytes exceeds the journal frame limit of " +
+        std::to_string(kMaxRecordBytes) + " bytes");
+  }
   std::size_t done = 0;
   while (done < frame.size()) {
     const ssize_t n = ::write(fd_, frame.data() + done, frame.size() - done);

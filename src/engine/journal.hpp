@@ -54,6 +54,11 @@ enum class RecordType {
 [[nodiscard]] std::optional<RecordType> record_type_from_name(
     std::string_view name);
 
+/// Largest record payload the journal holds. The reader treats a longer
+/// frame as corruption (its length field most likely contains garbage
+/// from a torn write), so FileJournal::append refuses to write one.
+inline constexpr std::uint32_t kMaxRecordBytes = 64u * 1024u * 1024u;
+
 struct JournalRecord {
   RecordType type = RecordType::kSubmit;
   json::Value data;  ///< record payload, always a JSON object
@@ -104,7 +109,9 @@ class MemoryJournal : public Journal {
 
 /// Durable file journal with batched fsync: `sync_every = 1` fsyncs
 /// after every record (safest, slowest); larger batches trade the last
-/// few records for throughput — replay tolerates the missing tail.
+/// few records for throughput — replay tolerates the missing tail. A
+/// record whose payload exceeds kMaxRecordBytes is refused (append
+/// returns an error and writes nothing).
 class FileJournal : public Journal {
  public:
   struct Options {

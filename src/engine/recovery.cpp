@@ -1,6 +1,7 @@
 #include "engine/recovery.hpp"
 
 #include <algorithm>
+#include <set>
 #include <string_view>
 #include <utility>
 
@@ -42,6 +43,18 @@ const char* pending_name(ResumeState::Pending pending) {
       return "rollback";
   }
   return "none";
+}
+
+/// The enactment delay's nominal time: specified durations of the
+/// transient states a finished strategy actually visited.
+runtime::Duration specified_duration(const core::StrategyDef& def,
+                                     const std::vector<StateVisit>& history) {
+  runtime::Duration specified{0};
+  for (const StateVisit& visit : history) {
+    const core::StateDef* state = def.find_state(visit.state);
+    if (state != nullptr && !state->is_final()) specified += state->duration();
+  }
+  return specified;
 }
 
 ResumeState::Pending pending_from_name(std::string_view name) {
@@ -279,6 +292,7 @@ Result<void> StateTracker::apply_impl(const JournalRecord& record) {
       }
       rs.pending = ResumeState::Pending::kNone;
       strategy.terminal = true;
+      strategy.specified = specified_duration(strategy.def, rs.history);
       return {};
     }
 
@@ -291,6 +305,7 @@ Result<void> StateTracker::apply_impl(const JournalRecord& record) {
       }
       rs.pending = ResumeState::Pending::kNone;
       strategy.terminal = true;
+      strategy.specified = specified_duration(strategy.def, rs.history);
       return {};
     }
 
@@ -307,6 +322,14 @@ Result<void> StateTracker::apply_impl(const JournalRecord& record) {
 // Snapshot round-trip
 
 json::Value StateTracker::to_snapshot() const {
+  // Strategies an apply intent names keep their definition: reconcile()
+  // and resync_regions() look the intent's ServiceDef up there.
+  std::set<std::string> intent_owners;
+  for (const auto* intents : {&intents_, &fleet_intents_, &region_intents_}) {
+    for (const auto& [key, intent] : *intents) {
+      intent_owners.insert(intent.strategy_id);
+    }
+  }
   json::Array strategies;
   for (const auto& [id, strategy] : strategies_) {
     const ResumeState& rs = strategy.resume;
@@ -320,9 +343,33 @@ json::Value StateTracker::to_snapshot() const {
           {"viaException", visit.via_exception},
       });
     }
+    // What Engine::status() reports; a retired strategy is only this.
+    // Arrays are moved in after construction: an initializer list
+    // would deep-copy them.
+    json::Object entry{
+        {"id", id},
+        {"name", strategy.name},
+        {"terminal", strategy.terminal},
+        {"status", execution_status_name(rs.status)},
+        {"currentState", rs.current_state},
+        {"startedNs", static_cast<std::int64_t>(rs.started_at.count())},
+        {"finishedNs", static_cast<std::int64_t>(rs.finished_at.count())},
+        {"transitions", rs.transitions},
+        {"checksExecuted", rs.checks_executed},
+    };
+    entry["history"] = std::move(history);
+    if (!strategy.terminal || intent_owners.count(id) > 0) {
+      entry["def"] = core::strategy_to_json(strategy.def);
+    }
+    if (strategy.terminal) {
+      entry["specifiedNs"] =
+          static_cast<std::int64_t>(strategy.specified.count());
+      strategies.push_back(std::move(entry));
+      continue;
+    }
     json::Array applies;
     for (const ResumeState::ApplyProgress& apply : rs.applies) {
-      json::Object entry{
+      json::Object progress{
           {"intent", apply.intent_journaled},
           {"epoch", static_cast<std::int64_t>(apply.epoch)},
           {"acked", apply.acked},
@@ -331,9 +378,9 @@ json::Value StateTracker::to_snapshot() const {
       if (!apply.region_acks.empty()) {
         json::Object acks;
         for (const auto& [region, ok] : apply.region_acks) acks[region] = ok;
-        entry["regionAcks"] = std::move(acks);
+        progress["regionAcks"] = std::move(acks);
       }
-      applies.push_back(std::move(entry));
+      applies.push_back(std::move(progress));
     }
     json::Array checks;
     for (const ResumeState::CheckProgress& check : rs.checks) {
@@ -345,26 +392,14 @@ json::Value StateTracker::to_snapshot() const {
            static_cast<std::int64_t>(check.next_deadline.count())},
       });
     }
-    strategies.push_back(json::Object{
-        {"id", id},
-        {"def", core::strategy_to_json(strategy.def)},
-        {"name", strategy.name},
-        {"terminal", strategy.terminal},
-        {"status", execution_status_name(rs.status)},
-        {"currentState", rs.current_state},
-        {"startedNs", static_cast<std::int64_t>(rs.started_at.count())},
-        {"finishedNs", static_cast<std::int64_t>(rs.finished_at.count())},
-        {"transitions", rs.transitions},
-        {"checksExecuted", rs.checks_executed},
-        {"history", std::move(history)},
-        {"applies", std::move(applies)},
-        {"checks", std::move(checks)},
-        {"pending", pending_name(rs.pending)},
-        {"target", rs.target},
-        {"pendingCheck", rs.pending_check},
-        {"exceptionJournaled", rs.exception_journaled},
-        {"pendingReason", rs.pending_reason},
-    });
+    entry["applies"] = std::move(applies);
+    entry["checks"] = std::move(checks);
+    entry["pending"] = pending_name(rs.pending);
+    entry["target"] = rs.target;
+    entry["pendingCheck"] = rs.pending_check;
+    entry["exceptionJournaled"] = rs.exception_journaled;
+    entry["pendingReason"] = rs.pending_reason;
+    strategies.push_back(std::move(entry));
   }
   json::Object epochs;
   for (const auto& [service, epoch] : epochs_) {
@@ -389,14 +424,13 @@ json::Value StateTracker::to_snapshot() const {
     }
     return out;
   };
-  return json::Object{
-      {"nextId", next_id_},
-      {"epochs", std::move(epochs)},
-      {"intents", intents_json(intents_)},
-      {"fleetIntents", intents_json(fleet_intents_)},
-      {"regionIntents", intents_json(region_intents_)},
-      {"strategies", std::move(strategies)},
-  };
+  json::Object snapshot{{"nextId", next_id_}};
+  snapshot["epochs"] = std::move(epochs);
+  snapshot["intents"] = intents_json(intents_);
+  snapshot["fleetIntents"] = intents_json(fleet_intents_);
+  snapshot["regionIntents"] = intents_json(region_intents_);
+  snapshot["strategies"] = std::move(strategies);
+  return snapshot;
 }
 
 Result<void> StateTracker::load_snapshot(const json::Value& snapshot) {
@@ -454,15 +488,18 @@ Result<void> StateTracker::load_snapshot(const json::Value& snapshot) {
   for (const json::Value& entry : strategies->as_array()) {
     const std::string id = entry.get_string("id");
     const json::Value* def_json = entry.find("def");
-    if (id.empty() || def_json == nullptr) {
+    Strategy strategy;
+    strategy.terminal = entry.get_bool("terminal");
+    // Only a retired summary may come without its definition.
+    if (id.empty() || (def_json == nullptr && !strategy.terminal)) {
       return Result<void>::error("snapshot strategy missing id/def");
     }
-    auto def = core::strategy_from_json(*def_json);
-    if (!def.ok()) return Result<void>::error(def.error_message());
-    Strategy strategy;
-    strategy.def = std::move(def).value();
+    if (def_json != nullptr) {
+      auto def = core::strategy_from_json(*def_json);
+      if (!def.ok()) return Result<void>::error(def.error_message());
+      strategy.def = std::move(def).value();
+    }
     strategy.name = entry.get_string("name", strategy.def.name);
-    strategy.terminal = entry.get_bool("terminal");
     ResumeState& rs = strategy.resume;
     rs.status = execution_status_from_name(entry.get_string("status"))
                     .value_or(ExecutionStatus::kRunning);
@@ -521,6 +558,16 @@ Result<void> StateTracker::load_snapshot(const json::Value& snapshot) {
     rs.pending_check = entry.get_string("pendingCheck");
     rs.exception_journaled = entry.get_bool("exceptionJournaled");
     rs.pending_reason = entry.get_string("pendingReason");
+    if (strategy.terminal) {
+      // Snapshots written before strategies were retired carry the
+      // full definition instead of the precomputed sum.
+      const json::Value* specified = entry.find("specifiedNs");
+      strategy.specified =
+          specified != nullptr && specified->is_number()
+              ? runtime::Duration(
+                    static_cast<std::int64_t>(specified->as_number()))
+              : specified_duration(strategy.def, rs.history);
+    }
     strategies_[id] = std::move(strategy);
   }
   return {};

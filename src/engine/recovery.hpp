@@ -11,6 +11,13 @@
 //    records (tracker state serialized to JSON) — replay then restarts
 //    from the last snapshot instead of record zero, keeping recovery
 //    O(recent) regardless of journal age.
+//
+// A snapshot's size follows live work, not engine age: a strategy that
+// reached a terminal state is written as a retired summary (exactly
+// what Engine::status() reports about it) without its definition or
+// resume progress. Its definition stays only while a journaled apply
+// intent names it, because reconcile() finds the intent's ServiceDef
+// there — a set bounded by services x regions.
 #pragma once
 
 #include <cstdint>
@@ -29,10 +36,15 @@ namespace bifrost::engine {
 class StateTracker {
  public:
   struct Strategy {
+    /// Empty for a retired strategy loaded from a snapshot summary that
+    /// no apply intent names.
     core::StrategyDef def;
     std::string name;
     bool terminal = false;  ///< finished or aborted; nothing to resume
     ResumeState resume;
+    /// Once terminal: sum of the specified durations of the transient
+    /// states visited (the nominal time the enactment delay excludes).
+    runtime::Duration specified{0};
   };
 
   /// The newest journaled apply intent per service — what the engine
@@ -80,7 +92,8 @@ class StateTracker {
   [[nodiscard]] std::uint64_t next_numeric_id() const { return next_id_; }
   [[nodiscard]] std::uint64_t records_seen() const { return records_seen_; }
 
-  /// Snapshot round-trip (the payload of kSnapshot records).
+  /// Snapshot round-trip (the payload of kSnapshot records). Loading
+  /// also accepts snapshots that carry every strategy in full.
   [[nodiscard]] json::Value to_snapshot() const;
   util::Result<void> load_snapshot(const json::Value& snapshot);
 

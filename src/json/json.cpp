@@ -1,6 +1,7 @@
 #include "json/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -236,10 +237,15 @@ class Parser {
 };
 
 void append_number(std::string& out, double d) {
-  if (std::isfinite(d) && d == std::floor(d) && std::abs(d) < 1e15) {
+  // Integral values (timestamps, epochs, counts: most numbers the
+  // journal writes) print through the integer path, several times
+  // faster than printf-ing a double. -0 keeps its sign via %.17g.
+  if (std::isfinite(d) && d == std::floor(d) && std::abs(d) < 1e15 &&
+      !(d == 0.0 && std::signbit(d))) {
     char buf[32];
-    std::snprintf(buf, sizeof buf, "%.0f", d);
-    out += buf;
+    const auto printed = std::to_chars(buf, buf + sizeof buf,
+                                       static_cast<std::int64_t>(d));
+    out.append(buf, printed.ptr);
   } else if (std::isfinite(d)) {
     char buf[32];
     std::snprintf(buf, sizeof buf, "%.17g", d);

@@ -185,10 +185,17 @@ std::size_t Reactor::suspended_connections() const {
 void Reactor::post(std::size_t worker_index, std::function<void()> fn) {
   if (worker_index >= workers_.size()) return;
   Worker& worker = *workers_[worker_index];
+  bool first = false;
   {
     const std::lock_guard<std::mutex> lock(worker.post_mutex);
+    first = worker.posted.empty();
     worker.posted.push_back(std::move(fn));
   }
+  // Only the post that makes the list non-empty wakes the worker: the
+  // worker drains the eventfd before it takes the list, so that wakeup
+  // is consumed only by a drain whose following take includes this
+  // post and every later one queued behind it.
+  if (!first) return;
   const std::uint64_t one = 1;
   [[maybe_unused]] const ssize_t n =
       ::write(worker.event_fd, &one, sizeof one);
@@ -250,6 +257,19 @@ void Reactor::worker_loop(Worker& worker) {
     }
     if (!running_.load()) return;
 
+    // Drain the eventfd BEFORE taking the posted list: a post() that
+    // lands after the drain writes the eventfd again and wakes the next
+    // epoll_wait. Draining after the swap would swallow the wakeup of a
+    // post made in between, leaving it until the 250 ms timeout.
+    for (int i = 0; i < std::max(n, 0); ++i) {
+      if (events[static_cast<std::size_t>(i)].data.u64 == kEventTag) {
+        std::uint64_t drained = 0;
+        while (::read(worker.event_fd, &drained, sizeof drained) > 0) {
+        }
+        break;
+      }
+    }
+
     // Cross-thread work first: completions re-arm connections before
     // their events are examined.
     std::vector<std::function<void()>> posted;
@@ -265,12 +285,7 @@ void Reactor::worker_loop(Worker& worker) {
         accept_ready(worker);
         continue;
       }
-      if (ev.data.u64 == kEventTag) {
-        std::uint64_t drained = 0;
-        while (::read(worker.event_fd, &drained, sizeof drained) > 0) {
-        }
-        continue;
-      }
+      if (ev.data.u64 == kEventTag) continue;  // drained above
       const auto it = worker.conns.find(ev.data.u64);
       if (it == worker.conns.end()) continue;  // closed earlier this batch
       Conn& conn = *it->second;

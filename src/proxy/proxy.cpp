@@ -400,8 +400,18 @@ http::Response BifrostProxy::handle_data(const http::Request& request) {
   if (config.sticky && !session_id.empty() && !new_session) {
     pinned = sessions_.touch(session_id);
   }
-  const std::size_t decided =
-      decide_backend(config, request, pinned, thread_rng());
+  std::size_t decided = decide_backend(config, request, pinned, thread_rng());
+  if (config.sticky && !session_id.empty() && !pinned) {
+    // First request of this session (or its pin was evicted): concurrent
+    // first requests race here, so the table picks one winner and every
+    // racer routes by it.
+    const std::string winner = sessions_.assign_if_absent(
+        session_id, config.backends[decided].version);
+    pinned = winner;
+    for (std::size_t i = 0; i < config.backends.size(); ++i) {
+      if (config.backends[i].version == winner) decided = i;
+    }
+  }
 
   // Outlier ejection: an ejected version's share reroutes to
   // default_version. The session table keeps the original pin — the

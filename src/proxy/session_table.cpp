@@ -53,12 +53,29 @@ void SessionTable::assign(const std::string& session_id,
     shard.order.splice(shard.order.end(), shard.order, it->second.order);
     return;
   }
+  insert_locked(shard, session_id, version);
+}
+
+std::string SessionTable::assign_if_absent(const std::string& session_id,
+                                          const std::string& version) {
+  Shard& shard = shard_for(session_id);
+  const std::lock_guard<std::mutex> lock(shard.mutex);
+  const auto it = shard.sessions.find(session_id);
+  if (it != shard.sessions.end()) {
+    shard.order.splice(shard.order.end(), shard.order, it->second.order);
+    return it->second.version;
+  }
+  insert_locked(shard, session_id, version);
+  return version;
+}
+
+void SessionTable::insert_locked(Shard& shard, const std::string& session_id,
+                                 const std::string& version) {
   if (shard.sessions.size() >= shard_capacity_) {
     shard.sessions.erase(shard.order.front());
     shard.order.pop_front();
   }
-  const auto order_it =
-      shard.order.insert(shard.order.end(), session_id);
+  const auto order_it = shard.order.insert(shard.order.end(), session_id);
   shard.sessions.emplace(session_id, Entry{version, order_it});
 }
 

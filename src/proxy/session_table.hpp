@@ -39,6 +39,13 @@ class SessionTable {
   /// shard is full.
   void assign(const std::string& session_id, const std::string& version);
 
+  /// First assignment wins: pins the session to `version` unless it is
+  /// already pinned, and returns the pin now in force (refreshing its
+  /// LRU recency either way). Concurrent first requests of one session
+  /// all route by the returned winner.
+  [[nodiscard]] std::string assign_if_absent(const std::string& session_id,
+                                             const std::string& version);
+
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
 
@@ -62,6 +69,10 @@ class SessionTable {
 
   Shard& shard_for(const std::string& session_id);
   const Shard& shard_for(const std::string& session_id) const;
+  /// Inserts a new entry (caller holds the shard mutex and has checked
+  /// the session is absent), evicting the LRU entry when full.
+  void insert_locked(Shard& shard, const std::string& session_id,
+                     const std::string& version);
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::size_t shard_capacity_;

@@ -19,6 +19,7 @@
 #include <chrono>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -28,7 +29,9 @@
 #include "dsl/dsl.hpp"
 #include "engine/engine.hpp"
 #include "engine/fleet.hpp"
+#include "engine/http_clients.hpp"
 #include "engine/journal.hpp"
+#include "proxy/proxy.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/sim_env.hpp"
 #include "sim/simulation.hpp"
@@ -379,6 +382,61 @@ TEST(FleetRamp, HealthyRunConvergesAllRegions) {
   EXPECT_FALSE(has_event(events, "error"));
 }
 
+// The same ramp against three real BifrostProxy regions over HTTP:
+// HttpProxyController must push each region to that region's own admin
+// endpoint (a service-level endpoint does not exist for a federated
+// service, so a region-unaware controller fails every push and the
+// strategy rolls back below quorum).
+TEST(FleetRamp, HttpControllerPushesEachRegionToItsOwnProxy) {
+  core::StrategyDef def = load_fleet_ramp();
+  std::vector<std::unique_ptr<proxy::BifrostProxy>> regions;
+  for (core::RegionDef& region : def.services.front().regions) {
+    proxy::BifrostProxy::Options options;
+    options.worker_threads = 2;
+    options.shadow_threads = 1;
+    proxy::ProxyConfig initial;
+    initial.service = "search";
+    initial.backends = {
+        proxy::BackendTarget{"stable", "127.0.0.1", 8001, 100.0, "", ""}};
+    regions.push_back(
+        std::make_unique<proxy::BifrostProxy>(options, std::move(initial)));
+    regions.back()->start();
+    region.proxy_admin_port = regions.back()->admin_port();
+  }
+  sim::Simulation sim(no_overhead());
+  sim::SimMetricsClient metrics(sim, region_metrics(), zero_metric_costs());
+  engine::HttpProxyController proxies;
+  engine::MemoryJournal disk;
+  engine::Engine::Options options;
+  options.journal = &disk;
+  engine::Engine eng(sim, metrics, proxies, options);
+  auto submitted = eng.submit(def);
+  ASSERT_TRUE(submitted.ok()) << submitted.error_message();
+  sim.run_all();
+
+  const auto snapshot = eng.status(submitted.value());
+  ASSERT_TRUE(snapshot.has_value());
+  EXPECT_EQ(snapshot->status, engine::ExecutionStatus::kSucceeded);
+  EXPECT_EQ(snapshot->current_state, "done");
+  for (const auto& region : regions) {
+    EXPECT_EQ(region->applied_epoch(), 3u);
+    const proxy::ProxyConfig config = region->current_config();
+    ASSERT_EQ(config.backends.size(), 1u);
+    EXPECT_EQ(config.backends.front().version, "fast");
+  }
+  const auto events = event_lines(eng);
+  EXPECT_FALSE(has_event(events, "region_degraded"));
+  EXPECT_FALSE(has_event(events, "error"));
+
+  // Reconcile reads every region back over HTTP: all in sync.
+  engine::Engine recovered(sim, metrics, proxies, options);
+  ASSERT_TRUE(recovered.recover(disk.records()).ok());
+  ASSERT_TRUE(recovered.reconcile().ok());
+  EXPECT_TRUE(has_event(event_lines(recovered), "reconciled",
+                        "eu-west=in_sync, us-east=in_sync, ap-south=in_sync"));
+  for (auto& region : regions) region->stop();
+}
+
 // ---------------------------------------------------------------------------
 // Acceptance (a) + (c): a partition of one region during the fleet-wide
 // push holds the phase at quorum; after the heal, resync_regions()
@@ -660,6 +718,74 @@ TEST(FleetAggregate, DeltaComparesCanaryAgainstWeightedFleetMean) {
   // eu=160: delta +45, rolls back.
   EXPECT_EQ(run_uninterrupted(def, region_metrics(160.0, 110.0, 120.0)).status,
             engine::ExecutionStatus::kRolledBack);
+}
+
+// ---------------------------------------------------------------------------
+// A long-lived engine: ramps back to back. Snapshots retire finished
+// ramps to summaries, but a finished ramp whose fleet-wide push is still
+// the floor keeps its definition — reconcile converges regions to it.
+
+TEST(FleetRetirement, FleetFloorOwnerKeepsItsDefinition) {
+  const core::StrategyDef def = load_fleet_ramp();
+  sim::Simulation sim(no_overhead());
+  sim::SimMetricsClient metrics(sim, region_metrics(), zero_metric_costs());
+  sim::SimProxyController proxies(sim, zero_proxy_costs());
+  engine::MemoryJournal disk;
+  engine::Engine::Options options;
+  options.journal = &disk;
+  options.snapshot_every = 4;  // a snapshot lands inside every state
+  engine::Engine original(sim, metrics, proxies, options);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(original.submit(def).ok());
+    sim.run_all();
+  }
+  // The fourth ramp's canary push is scoped to eu-west: the fleet floor
+  // is still s-3's final push.
+  ASSERT_TRUE(original.submit(def).ok());
+  sim.run_until(sim.now() + runtime::Duration(300s));
+  ASSERT_EQ(original.status("s-4")->current_state, "canary");
+
+  const engine::JournalRecord* last = nullptr;
+  for (const engine::JournalRecord& record : disk.records()) {
+    if (record.type == RecordType::kSnapshot) last = &record;
+  }
+  ASSERT_NE(last, nullptr);
+  std::map<std::string, bool> has_def;
+  for (const json::Value& entry : last->data.find("strategies")->as_array()) {
+    has_def[entry.get_string("id")] = entry.find("def") != nullptr;
+  }
+  EXPECT_FALSE(has_def["s-1"]);
+  EXPECT_FALSE(has_def["s-2"]);
+  EXPECT_TRUE(has_def["s-3"]);  // owns the fleet intent
+  EXPECT_TRUE(has_def["s-4"]);  // live
+
+  // A fresh engine reconciles fresh proxies to the same per-region
+  // routing, and reports the retired ramps exactly as the original.
+  sim::SimProxyController fresh(sim, zero_proxy_costs());
+  engine::MemoryJournal marker_log;
+  options.journal = &marker_log;
+  engine::Engine recovered(sim, metrics, fresh, options);
+  ASSERT_TRUE(recovered.recover(disk.records()).ok());
+  ASSERT_TRUE(recovered.reconcile().ok());
+  EXPECT_EQ(routing_of(fresh), routing_of(proxies));
+  for (const char* id : {"s-1", "s-2", "s-3"}) {
+    SCOPED_TRACE(id);
+    const auto want = original.status(id);
+    const auto got = recovered.status(id);
+    ASSERT_TRUE(want.has_value() && got.has_value());
+    EXPECT_EQ(got->status, want->status);
+    EXPECT_EQ(got->transitions, want->transitions);
+    EXPECT_EQ(got->checks_executed, want->checks_executed);
+    ASSERT_EQ(got->history.size(), want->history.size());
+    for (std::size_t i = 0; i < got->history.size(); ++i) {
+      EXPECT_EQ(got->history[i].state, want->history[i].state);
+      EXPECT_EQ(got->history[i].entered, want->history[i].entered);
+      EXPECT_EQ(got->history[i].exited, want->history[i].exited);
+    }
+    EXPECT_DOUBLE_EQ(got->finished_seconds, want->finished_seconds);
+    EXPECT_DOUBLE_EQ(got->enactment_delay_seconds,
+                     want->enactment_delay_seconds);
+  }
 }
 
 // ---------------------------------------------------------------------------

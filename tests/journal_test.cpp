@@ -81,6 +81,38 @@ TEST(Framing, FrameLayoutIsLengthCrcPayload) {
   EXPECT_NE(body.find("\"s-1\""), std::string::npos);
 }
 
+// The envelope is written without building a json::Object around a copy
+// of the data; the bytes must stay those of that object's dump().
+TEST(Framing, PayloadIsTheEnvelopeObjectDump) {
+  json::Object nested{
+      {"text", "quote \" backslash \\ newline \n tab \t"},
+      {"list", json::Array{1, 2.5, -3, true, nullptr, "x"}},
+      {"inner", json::Object{{"z", 1}, {"a", json::Object{}}}},
+      {"big", static_cast<std::int64_t>(1) << 52},
+  };
+  const json::Value datas[] = {payload(7), json::Value(nested),
+                               json::Value(json::Object{})};
+  for (int t = 0; t <= static_cast<int>(RecordType::kRegionAck); ++t) {
+    const auto type = static_cast<RecordType>(t);
+    for (const json::Value& data : datas) {
+      json::Object envelope;
+      envelope["type"] = record_type_name(type);
+      envelope["data"] = data;
+      const std::string expected = json::Value(std::move(envelope)).dump();
+      const std::string frame = frame_record(type, data);
+      ASSERT_EQ(frame.substr(8), expected) << record_type_name(type);
+      std::uint32_t crc = 0;
+      for (int i = 7; i >= 4; --i) {
+        crc = (crc << 8) | static_cast<unsigned char>(frame[i]);
+      }
+      EXPECT_EQ(crc, util::crc32(expected));
+      const JournalReadResult read = parse_journal_bytes(frame);
+      ASSERT_EQ(read.records.size(), 1u);
+      EXPECT_EQ(read.records[0].data, data);
+    }
+  }
+}
+
 TEST(Framing, ParseRoundTripsMultipleRecords) {
   std::string bytes;
   for (int i = 0; i < 5; ++i) {
@@ -289,6 +321,35 @@ TEST(FileJournal, BatchedSyncStillLandsOnDisk) {
   auto read = read_journal_file(path);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(read.value().records.size(), 7u);
+  std::remove(path.c_str());
+}
+
+// The reader takes a frame over kMaxRecordBytes for a torn tail and
+// drops it with everything after it, so the writer must refuse one.
+TEST(FileJournal, RefusesRecordOverTheFrameLimit) {
+  const std::string path = temp_path("frame_limit");
+  std::remove(path.c_str());
+  auto journal = FileJournal::open(path);
+  ASSERT_TRUE(journal.ok());
+  ASSERT_TRUE(journal.value()->append(RecordType::kStarted, payload(1)).ok());
+  const std::string before = read_file(path);
+
+  json::Object huge;
+  huge["blob"] = std::string(kMaxRecordBytes, 'x');
+  auto refused = journal.value()->append(RecordType::kSnapshot,
+                                         json::Value(std::move(huge)));
+  ASSERT_FALSE(refused.ok());
+  EXPECT_NE(refused.error_message().find("frame limit"), std::string::npos);
+  EXPECT_EQ(read_file(path), before);  // nothing written
+  EXPECT_EQ(journal.value()->records_written(), 1u);
+
+  ASSERT_TRUE(journal.value()->append(RecordType::kStarted, payload(2)).ok());
+  journal.value().reset();
+  auto read = read_journal_file(path);
+  ASSERT_TRUE(read.ok());
+  EXPECT_FALSE(read.value().truncated_tail);
+  ASSERT_EQ(read.value().records.size(), 2u);
+  EXPECT_EQ(read.value().records[1].data, payload(2));
   std::remove(path.c_str());
 }
 

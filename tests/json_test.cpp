@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+
 #include "json/json.hpp"
 
 namespace bifrost::json {
@@ -88,6 +91,17 @@ TEST(JsonDump, IntegersPrintWithoutDecimals) {
   EXPECT_EQ(Value(42).dump(), "42");
   EXPECT_EQ(Value(-3).dump(), "-3");
   EXPECT_EQ(Value(2.5).dump(), "2.5");
+  EXPECT_EQ(Value(0).dump(), "0");
+  EXPECT_EQ(Value(-0.0).dump(), "-0");
+  // Integral values print exactly as printf's "%.0f" does.
+  for (const double d : {1.0, -1.0, 86460000000000.0, -86460000000000.0,
+                         999999999999999.0, -999999999999999.0,
+                         4503599627370496.0, 1e15, 1e300}) {
+    char expected[400];
+    std::snprintf(expected, sizeof expected,
+                  std::abs(d) < 1e15 ? "%.0f" : "%.17g", d);
+    EXPECT_EQ(Value(d).dump(), expected) << expected;
+  }
 }
 
 TEST(JsonDump, EscapesControlCharacters) {

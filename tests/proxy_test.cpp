@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -307,6 +309,42 @@ TEST(SessionTable, ConcurrentAssignTouchKeepsInvariants) {
   EXPECT_LE(table.size(), 512u + 8u);
   const auto [mappings, total] = table.snapshot(1000);
   EXPECT_EQ(mappings.size(), total);
+}
+
+TEST(SessionTable, AssignIfAbsentKeepsFirstPin) {
+  SessionTable table(1, 2);
+  EXPECT_EQ(table.assign_if_absent("s1", "stable"), "stable");
+  EXPECT_EQ(table.assign_if_absent("s1", "canary"), "stable");
+  EXPECT_EQ(table.touch("s1"), "stable");
+  EXPECT_EQ(table.size(), 1u);
+  // Recency is refreshed on a hit: s2 becomes the eviction victim.
+  table.assign("s2", "canary");
+  EXPECT_EQ(table.assign_if_absent("s1", "canary"), "stable");
+  EXPECT_EQ(table.assign_if_absent("s3", "canary"), "canary");
+  EXPECT_EQ(table.touch("s2"), std::nullopt);
+  EXPECT_EQ(table.touch("s1"), "stable");
+}
+
+TEST(SessionTable, ConcurrentAssignIfAbsentAgreesOnOneWinner) {
+  SessionTable table(4, 1024);
+  constexpr int kThreads = 8;
+  constexpr int kSessions = 200;
+  std::vector<std::vector<std::string>> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&table, &seen, t] {
+      for (int i = 0; i < kSessions; ++i) {
+        seen[t].push_back(table.assign_if_absent(
+            "s-" + std::to_string(i), "v" + std::to_string(t)));
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (int i = 0; i < kSessions; ++i) {
+    const auto pinned = table.touch("s-" + std::to_string(i));
+    ASSERT_TRUE(pinned.has_value());
+    for (int t = 0; t < kThreads; ++t) EXPECT_EQ(seen[t][i], *pinned);
+  }
 }
 
 TEST(ProxyConfig, FilterRequiresKnownDefault) {
@@ -688,6 +726,51 @@ TEST_F(LiveProxyTest, ConcurrentTrafficWhileApplyFlips) {
             static_cast<std::size_t>(total));
   // One session per client thread survived the config flips.
   EXPECT_EQ(proxy->sticky_sessions(), static_cast<std::size_t>(kClients));
+}
+
+// Regression: concurrent first requests carrying one (not yet pinned)
+// session cookie used to each draw a version and race to assign it, so
+// one user could see both versions. All of them must land on one.
+TEST_F(LiveProxyTest, ConcurrentFirstRequestsOfOneSessionAgree) {
+  auto proxy = make_proxy(config_with(50.0, /*sticky=*/true));
+  const std::uint16_t port = proxy->data_port();
+  constexpr int kClients = 6;
+  constexpr int kRounds = 200;
+
+  std::atomic<int> arrived{0};
+  std::atomic<int> split_rounds{0};
+  std::mutex mutex;
+  std::vector<std::string> versions(kClients);
+  int finished = 0;
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      http::HttpClient client;
+      for (int round = 0; round < kRounds; ++round) {
+        // Spin barrier: every client fires the round's first request at
+        // the same moment (and only after the previous round was judged).
+        arrived.fetch_add(1);
+        while (arrived.load() < (round + 1) * kClients) {
+          std::this_thread::yield();
+        }
+        http::Request request;
+        request.target = "/";
+        request.headers.set("Cookie", std::string(kStickyCookie) +
+                                          "=race-" + std::to_string(round));
+        auto response = client.request(std::move(request), "127.0.0.1", port);
+        const std::lock_guard<std::mutex> lock(mutex);
+        versions[c] = response.ok() ? response.value().body : "error";
+        if (++finished == (round + 1) * kClients &&
+            std::count(versions.begin(), versions.end(), versions[0]) !=
+                kClients) {
+          split_rounds.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& client : clients) client.join();
+  EXPECT_EQ(split_rounds.load(), 0);
+  EXPECT_EQ(proxy->sticky_sessions(), static_cast<std::size_t>(kRounds));
 }
 
 // Regression for the fire_shadows ordering bug: the bernoulli sampling

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <algorithm>
 #include <chrono>
+#include <deque>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -173,6 +175,56 @@ TEST(ReactorTest, SuspendCompleteMarshalsBackFromForeignThread) {
     std::this_thread::sleep_for(5ms);
   }
   EXPECT_EQ(reactor.suspended_connections(), 1u);
+  reactor.stop();
+}
+
+// Regression: the worker used to take the posted list before draining
+// the eventfd, so a complete() posted in between had its wakeup consumed
+// and waited for the 250 ms epoll timeout. Pipelined requests make the
+// window wide: finishing one reply runs the next request, which the
+// foreign completer answers while the worker is still in that batch.
+TEST(ReactorTest, ForeignCompletionsOfPipelinedRequestsNeverStall) {
+  std::mutex mutex;
+  std::deque<Reactor::ConnId> pending;
+  Reactor reactor(Reactor::Options{},
+                  [&](Reactor::ConnId id, std::string& input) {
+                    const std::size_t pos = input.find('\n');
+                    if (pos == std::string::npos) {
+                      return Reactor::Verdict::kContinue;
+                    }
+                    input.erase(0, pos + 1);  // one request per suspend
+                    const std::lock_guard<std::mutex> lock(mutex);
+                    pending.push_back(id);
+                    return Reactor::Verdict::kSuspend;
+                  });
+  ASSERT_TRUE(reactor.start().ok());
+  std::atomic<bool> stop{false};
+  std::thread completer([&] {
+    while (!stop.load()) {
+      Reactor::ConnId id = 0;
+      {
+        const std::lock_guard<std::mutex> lock(mutex);
+        if (pending.empty()) continue;
+        id = pending.front();
+        pending.pop_front();
+      }
+      reactor.complete(id, {"done\n"}, /*close_after=*/false);
+    }
+  });
+  auto stream = TcpStream::connect("127.0.0.1", reactor.port());
+  ASSERT_TRUE(stream.ok());
+  std::chrono::steady_clock::duration slowest{0};
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(stream.value().write_all("a\nb\n"));
+    for (int reply = 0; reply < 2; ++reply) {
+      const auto sent = std::chrono::steady_clock::now();
+      ASSERT_EQ(read_until(stream.value(), '\n'), "done\n");
+      slowest = std::max(slowest, std::chrono::steady_clock::now() - sent);
+    }
+  }
+  stop.store(true);
+  completer.join();
+  EXPECT_LT(slowest, 100ms);
   reactor.stop();
 }
 

@@ -14,6 +14,7 @@
 
 #include <chrono>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -358,6 +359,361 @@ TEST(Recovery, RecoverTwiceIsANoOp) {
   EXPECT_EQ(proxies.updates(), updates_after_run);
 }
 
+// ---------------------------------------------------------------------------
+// Long-lived engines: several strategies back to back on ONE engine.
+// Snapshots retire finished strategies to compact summaries; recovery
+// must not be able to tell.
+
+constexpr std::size_t kDenseSnapshots = 16;
+
+/// Both example strategies, alternating: they share the "search"
+/// service, so each one's apply intents supersede the previous one's.
+std::vector<core::StrategyDef> alternating_examples(int count) {
+  std::vector<core::StrategyDef> defs;
+  for (int i = 0; i < count; ++i) {
+    defs.push_back(load_example(i % 2 == 0 ? "darklaunch.yaml"
+                                           : "fastsearch_rollout.yaml"));
+  }
+  return defs;
+}
+
+/// Submits each strategy once the previous one has finished.
+void run_back_to_back(engine::Engine& eng, sim::Simulation& sim,
+                      const std::vector<core::StrategyDef>& defs) {
+  for (const core::StrategyDef& def : defs) {
+    auto submitted = eng.submit(def);
+    ASSERT_TRUE(submitted.ok()) << submitted.error_message();
+    sim.run_all();
+  }
+}
+
+std::size_t count_snapshots(const std::vector<engine::JournalRecord>& records) {
+  std::size_t n = 0;
+  for (const engine::JournalRecord& record : records) {
+    if (record.type == RecordType::kSnapshot) ++n;
+  }
+  return n;
+}
+
+void expect_same_status(const engine::StrategySnapshot& got,
+                        const engine::StrategySnapshot& want) {
+  SCOPED_TRACE("strategy " + want.id);
+  EXPECT_EQ(got.id, want.id);
+  EXPECT_EQ(got.name, want.name);
+  EXPECT_EQ(got.status, want.status);
+  EXPECT_EQ(got.current_state, want.current_state);
+  EXPECT_DOUBLE_EQ(got.started_seconds, want.started_seconds);
+  EXPECT_DOUBLE_EQ(got.finished_seconds, want.finished_seconds);
+  EXPECT_EQ(got.transitions, want.transitions);
+  EXPECT_EQ(got.checks_executed, want.checks_executed);
+  ASSERT_EQ(got.history.size(), want.history.size());
+  for (std::size_t i = 0; i < got.history.size(); ++i) {
+    EXPECT_EQ(got.history[i].state, want.history[i].state) << i;
+    EXPECT_EQ(got.history[i].entered, want.history[i].entered) << i;
+    EXPECT_EQ(got.history[i].exited, want.history[i].exited) << i;
+    EXPECT_DOUBLE_EQ(got.history[i].outcome, want.history[i].outcome) << i;
+    EXPECT_EQ(got.history[i].via_exception, want.history[i].via_exception)
+        << i;
+  }
+  EXPECT_DOUBLE_EQ(got.enactment_delay_seconds, want.enactment_delay_seconds);
+}
+
+void expect_same_list(const engine::Engine& got, const engine::Engine& want) {
+  const auto got_list = got.list();
+  const auto want_list = want.list();
+  ASSERT_EQ(got_list.size(), want_list.size());
+  for (std::size_t i = 0; i < got_list.size(); ++i) {
+    expect_same_status(got_list[i], want_list[i]);
+    const auto status = got.status(want_list[i].id);
+    ASSERT_TRUE(status.has_value());
+    expect_same_status(*status, want_list[i]);
+  }
+}
+
+std::vector<engine::JournalRecord> without_snapshots(
+    const std::vector<engine::JournalRecord>& records) {
+  std::vector<engine::JournalRecord> out;
+  for (const engine::JournalRecord& record : records) {
+    if (record.type != RecordType::kSnapshot) out.push_back(record);
+  }
+  return out;
+}
+
+TEST(Retirement, LongLivedEngineRecoversEveryStrategy) {
+  sim::Simulation sim(no_overhead());
+  sim::SimMetricsClient metrics(sim, example_metrics(), zero_metric_costs());
+  sim::SimProxyController proxies(sim, zero_proxy_costs());
+  engine::MemoryJournal disk;
+  engine::Engine::Options options;
+  options.journal = &disk;
+  options.snapshot_every = kDenseSnapshots;
+  engine::Engine original(sim, metrics, proxies, options);
+  run_back_to_back(original, sim, alternating_examples(5));
+  ASSERT_EQ(original.list().size(), 5u);
+  ASSERT_GT(count_snapshots(disk.records()), 4u);
+
+  // A fresh engine against fresh proxies: status comes from the last
+  // snapshot's retired summaries, routing from reconcile() alone.
+  sim::SimProxyController fresh_proxies(sim, zero_proxy_costs());
+  engine::MemoryJournal marker_log;
+  options.journal = &marker_log;
+  engine::Engine recovered(sim, metrics, fresh_proxies, options);
+  ASSERT_TRUE(recovered.recover(disk.records()).ok());
+  ASSERT_TRUE(recovered.reconcile().ok());
+  expect_same_list(recovered, original);
+  EXPECT_EQ(routing_of(fresh_proxies), routing_of(proxies));
+
+  // Replaying every record instead of the summaries gives bit-identical
+  // status, enactment delay included.
+  engine::MemoryJournal marker_log2;
+  options.journal = &marker_log2;
+  engine::Engine from_records(sim, metrics, fresh_proxies, options);
+  ASSERT_TRUE(from_records.recover(without_snapshots(disk.records())).ok());
+  const auto summary_list = recovered.list();
+  const auto record_list = from_records.list();
+  ASSERT_EQ(summary_list.size(), record_list.size());
+  for (std::size_t i = 0; i < summary_list.size(); ++i) {
+    EXPECT_EQ(summary_list[i].enactment_delay_seconds,
+              record_list[i].enactment_delay_seconds);
+    EXPECT_EQ(summary_list[i].finished_seconds,
+              record_list[i].finished_seconds);
+    EXPECT_EQ(summary_list[i].history.size(), record_list[i].history.size());
+  }
+}
+
+TEST(Retirement, SnapshotKeepsDefinitionsOnlyForLiveWorkAndIntentOwners) {
+  sim::Simulation sim(no_overhead());
+  sim::SimMetricsClient metrics(sim, example_metrics(), zero_metric_costs());
+  sim::SimProxyController proxies(sim, zero_proxy_costs());
+  engine::MemoryJournal disk;
+  engine::Engine::Options options;
+  options.journal = &disk;
+  options.snapshot_every = 4;  // a snapshot lands inside every state
+  engine::Engine eng(sim, metrics, proxies, options);
+  run_back_to_back(eng, sim, alternating_examples(3));
+  auto live = eng.submit(load_example("fastsearch_rollout.yaml"));
+  ASSERT_TRUE(live.ok());
+  sim.run_until(sim.now() + runtime::Duration(90s));
+  ASSERT_EQ(eng.status(live.value())->status,
+            engine::ExecutionStatus::kRunning);
+
+  const engine::JournalRecord* last = nullptr;
+  for (const engine::JournalRecord& record : disk.records()) {
+    if (record.type == RecordType::kSnapshot) last = &record;
+  }
+  ASSERT_NE(last, nullptr);
+  std::set<std::string> owners;
+  for (const char* key : {"intents", "fleetIntents", "regionIntents"}) {
+    for (const auto& [name, intent] : last->data.find(key)->as_object()) {
+      owners.insert(intent.get_string("strategyId"));
+    }
+  }
+  int retired_without_def = 0;
+  bool saw_live = false;
+  for (const json::Value& entry :
+       last->data.find("strategies")->as_array()) {
+    const std::string id = entry.get_string("id");
+    SCOPED_TRACE(id);
+    const bool terminal = entry.get_bool("terminal");
+    EXPECT_EQ(entry.find("def") != nullptr, !terminal || owners.count(id) > 0);
+    if (terminal) {
+      // A retired summary: what status() reports, nothing to resume.
+      EXPECT_NE(entry.find("specifiedNs"), nullptr);
+      EXPECT_NE(entry.find("history"), nullptr);
+      EXPECT_EQ(entry.find("applies"), nullptr);
+      EXPECT_EQ(entry.find("checks"), nullptr);
+      EXPECT_EQ(entry.find("pending"), nullptr);
+      if (entry.find("def") == nullptr) ++retired_without_def;
+    } else {
+      saw_live = saw_live || id == live.value();
+      EXPECT_NE(entry.find("applies"), nullptr);
+      EXPECT_NE(entry.find("pending"), nullptr);
+    }
+  }
+  EXPECT_TRUE(saw_live);
+  EXPECT_EQ(retired_without_def, 3);  // the live strategy owns "search"
+  EXPECT_EQ(owners, std::set<std::string>{live.value()});
+}
+
+/// The snapshot an engine wrote before finished strategies were retired:
+/// every strategy in full, with definition and (empty) resume progress.
+json::Value old_format_snapshot(
+    const json::Value& snapshot,
+    const std::map<std::string, core::StrategyDef>& defs) {
+  json::Value old = snapshot;
+  for (json::Value& entry : old.as_object()["strategies"].as_array()) {
+    json::Object& fields = entry.as_object();
+    if (!fields["terminal"].as_bool()) continue;
+    fields.erase("specifiedNs");
+    fields["def"] = core::strategy_to_json(defs.at(fields["id"].as_string()));
+    fields["applies"] = json::Array{};
+    fields["checks"] = json::Array{};
+    fields["pending"] = "none";
+    fields["target"] = "";
+    fields["pendingCheck"] = "";
+    fields["exceptionJournaled"] = false;
+    fields["pendingReason"] = "";
+  }
+  return old;
+}
+
+// Crash mid-way through the second strategy of a two-strategy run,
+// recovering from nothing but an old-format snapshot of that moment.
+TEST(Retirement, OldFormatSnapshotStillReplays) {
+  const std::vector<core::StrategyDef> defs = alternating_examples(2);
+  const std::map<std::string, core::StrategyDef> by_id{{"s-1", defs[0]},
+                                                       {"s-2", defs[1]}};
+  sim::Simulation base_sim(no_overhead());
+  sim::SimMetricsClient base_metrics(base_sim, example_metrics(),
+                                     zero_metric_costs());
+  sim::SimProxyController base_proxies(base_sim, zero_proxy_costs());
+  engine::MemoryJournal base_disk;
+  engine::Engine::Options options;
+  options.journal = &base_disk;
+  options.snapshot_every = 0;
+  engine::Engine baseline(base_sim, base_metrics, base_proxies, options);
+  run_back_to_back(baseline, base_sim, defs);
+  const std::vector<engine::JournalRecord> all = base_disk.records();
+  std::size_t second_submit = 0;
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    if (all[i].type == RecordType::kSubmit) second_submit = i;
+  }
+  const std::uint64_t crash_at = second_submit + 12;
+  ASSERT_LT(crash_at, all.size());
+
+  sim::Simulation sim(no_overhead());
+  sim::SimMetricsClient metrics(sim, example_metrics(), zero_metric_costs());
+  sim::SimProxyController proxies(sim, zero_proxy_costs());
+  engine::MemoryJournal disk;
+  sim::FaultPlan plan;
+  plan.crash_after_record(crash_at);
+  sim::CrashableJournal crashable(disk, plan);
+  options.journal = &crashable;
+  {
+    engine::Engine eng(sim, metrics, proxies, options);
+    EXPECT_THROW(run_back_to_back(eng, sim, defs), sim::CrashInjected);
+  }
+  engine::StateTracker tracker;
+  ASSERT_TRUE(tracker.replay(disk.records()).ok());
+  const json::Value old = old_format_snapshot(tracker.to_snapshot(), by_id);
+  ASSERT_NE(old.find("strategies")->as_array()[0].find("def"), nullptr);
+
+  options.journal = &disk;
+  engine::Engine eng(sim, metrics, proxies, options);
+  ASSERT_TRUE(eng.recover({engine::JournalRecord{RecordType::kSnapshot, old}})
+                  .ok());
+  ASSERT_TRUE(eng.reconcile().ok());
+  sim.run_all();
+  expect_same_list(eng, baseline);
+  expect_same_trace(trace_of(disk.records()), trace_of(all));
+  EXPECT_EQ(routing_of(proxies), routing_of(base_proxies));
+}
+
+// The crash matrix for a long-lived engine: the first strategy is
+// retired (its summary is all later snapshots hold of it) when the
+// engine dies at each record boundary of the second.
+TEST(CrashMatrix, SecondOfTwoStrategiesEveryRecordBoundary) {
+  // The short darklaunch second keeps the matrix small.
+  const std::vector<core::StrategyDef> defs = {
+      load_example("fastsearch_rollout.yaml"), load_example("darklaunch.yaml")};
+  sim::Simulation base_sim(no_overhead());
+  sim::SimMetricsClient base_metrics(base_sim, example_metrics(),
+                                     zero_metric_costs());
+  sim::SimProxyController base_proxies(base_sim, zero_proxy_costs());
+  engine::MemoryJournal base_disk;
+  engine::Engine::Options options;
+  options.journal = &base_disk;
+  options.snapshot_every = kDenseSnapshots;
+  engine::Engine baseline(base_sim, base_metrics, base_proxies, options);
+  ASSERT_TRUE(baseline.submit(defs[0]).ok());
+  base_sim.run_all();
+  const std::uint64_t first_done = base_disk.records_written();
+  ASSERT_TRUE(baseline.submit(defs[1]).ok());
+  base_sim.run_all();
+  const std::uint64_t total = base_disk.records_written();
+  const Trace base_trace = trace_of(base_disk.records());
+
+  for (std::uint64_t n = first_done + 1; n <= total; ++n) {
+    SCOPED_TRACE("crash after journal record " + std::to_string(n));
+    sim::Simulation sim(no_overhead());
+    sim::SimMetricsClient metrics(sim, example_metrics(), zero_metric_costs());
+    sim::SimProxyController proxies(sim, zero_proxy_costs());
+    engine::MemoryJournal disk;
+    sim::FaultPlan plan;
+    plan.crash_after_record(n);
+    sim::CrashableJournal crashable(disk, plan);
+    options.journal = &crashable;
+    {
+      engine::Engine eng(sim, metrics, proxies, options);
+      EXPECT_THROW(run_back_to_back(eng, sim, defs), sim::CrashInjected);
+    }
+    const std::vector<engine::JournalRecord> history = disk.records();
+    options.journal = &disk;
+    engine::Engine eng(sim, metrics, proxies, options);
+    ASSERT_TRUE(eng.recover(history).ok());
+    ASSERT_TRUE(eng.reconcile().ok());
+    sim.run_all();
+    expect_same_trace(trace_of(disk.records()), base_trace);
+    EXPECT_EQ(routing_of(proxies), routing_of(base_proxies));
+    expect_same_list(eng, baseline);
+    if (testing::Test::HasFailure()) return;  // one boundary is enough noise
+  }
+}
+
+/// Forwards to a MemoryJournal but refuses every snapshot, the way
+/// FileJournal refuses a record over the frame limit.
+class SnapshotRefusingJournal final : public engine::Journal {
+ public:
+  explicit SnapshotRefusingJournal(engine::MemoryJournal& inner)
+      : inner_(inner) {}
+  util::Result<void> append(RecordType type, json::Value data) override {
+    if (type == RecordType::kSnapshot) {
+      return util::Result<void>::error("record exceeds the frame limit");
+    }
+    return inner_.append(type, std::move(data));
+  }
+  util::Result<void> sync() override { return {}; }
+  [[nodiscard]] std::uint64_t records_written() const override {
+    return inner_.records_written();
+  }
+
+ private:
+  engine::MemoryJournal& inner_;
+};
+
+TEST(Retirement, RefusedSnapshotIsReportedAndReplayUsesRecords) {
+  sim::Simulation sim(no_overhead());
+  sim::SimMetricsClient metrics(sim, example_metrics(), zero_metric_costs());
+  sim::SimProxyController proxies(sim, zero_proxy_costs());
+  engine::MemoryJournal disk;
+  SnapshotRefusingJournal refusing(disk);
+  engine::Engine::Options options;
+  options.journal = &refusing;
+  options.snapshot_every = kDenseSnapshots;
+  engine::Engine original(sim, metrics, proxies, options);
+  run_back_to_back(original, sim, alternating_examples(2));
+  EXPECT_EQ(count_snapshots(disk.records()), 0u);
+  int skipped = 0;
+  for (const engine::StatusEvent& event :
+       original.events_since(0, 100000, std::chrono::milliseconds(0))) {
+    if (event.type == engine::StatusEvent::Type::kError &&
+        event.detail.find("journal snapshot skipped") != std::string::npos) {
+      ++skipped;
+    }
+  }
+  EXPECT_EQ(skipped, static_cast<int>(disk.records().size() / kDenseSnapshots));
+  EXPECT_EQ(original.status("s-2")->status,
+            engine::ExecutionStatus::kSucceeded);
+
+  engine::MemoryJournal marker_log;
+  options.journal = &marker_log;
+  engine::Engine recovered(sim, metrics, proxies, options);
+  ASSERT_TRUE(recovered.recover(disk.records()).ok());
+  expect_same_list(recovered, original);
+}
+
+// ---------------------------------------------------------------------------
+// Guard rails
 // ---------------------------------------------------------------------------
 // Guard rails
 
