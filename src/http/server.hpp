@@ -37,7 +37,8 @@ namespace bifrost::http {
 ///
 /// In both backends the worker pool bounds request concurrency, not
 /// connection count. Handlers run concurrently; they must be
-/// thread-safe, and they may block.
+/// thread-safe, and they may block unless Options::inline_handlers is
+/// set.
 class HttpServer {
  public:
   using Handler = std::function<Response(const Request&)>;
@@ -57,9 +58,12 @@ class HttpServer {
     /// connection capacity does not depend on it.
     std::size_t reactor_workers = 2;
     /// Reactor only: run handlers inline on the reactor thread instead
-    /// of the pool. Strictly for handlers that never block (microbench
-    /// ceilings, trivial static responses) — a blocking inline handler
-    /// stalls every connection owned by that reactor worker.
+    /// of the pool, saving the handoff to a pool worker and the
+    /// marshal-back. The handler must be CPU-bound and finish in
+    /// microseconds, do no I/O, and wait on nothing but short mutexes:
+    /// while it runs, every other connection owned by that reactor
+    /// worker waits. metrics::MetricsServer (parse, evaluate under the
+    /// store lock, dump) runs this way. Ignored by kThreads.
     bool inline_handlers = false;
     std::chrono::milliseconds io_timeout{10000};
     /// Idle keep-alive connections are closed after this long.

@@ -15,6 +15,9 @@ namespace bifrost::metrics {
 ///   POST /api/v1/ingest   body: {"name":..,"labels":{..},"value":..,
 ///        "time":..}  (push-style ingestion used by tests/loadgen)
 ///   GET  /healthz
+/// Without `time`, a query is evaluated at TimeSeriesStore::newest_time().
+/// Handlers run inline on the reactor threads (no handler pool): each is a
+/// parse, a short store lock and a small JSON dump.
 class MetricsServer {
  public:
   MetricsServer(TimeSeriesStore& store, std::uint16_t port = 0);

@@ -72,12 +72,20 @@ std::vector<std::pair<SeriesKey, std::vector<Sample>>> TimeSeriesStore::range(
   return out;
 }
 
-std::vector<SeriesKey> TimeSeriesStore::series() const {
-  std::vector<SeriesKey> out;
+double TimeSeriesStore::newest_time() const {
+  constexpr double kHorizon = 1e18;
+  double newest = 0.0;
   const std::lock_guard<std::mutex> lock(mutex_);
-  out.reserve(series_.size());
-  for (const auto& [key, samples] : series_) out.push_back(key);
-  return out;
+  for (const auto& [key, samples] : series_) {
+    // Same scan as instant(): the last-appended sample at or before the
+    // horizon, not the largest time in the series. Starting from 0 is the
+    // rule's ">= 0" bound: a negative time never raises the maximum.
+    const auto last =
+        std::find_if(samples.rbegin(), samples.rend(),
+                     [](const Sample& s) { return s.time <= kHorizon; });
+    if (last != samples.rend()) newest = std::max(newest, last->time);
+  }
+  return newest;
 }
 
 std::size_t TimeSeriesStore::series_count() const {

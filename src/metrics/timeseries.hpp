@@ -56,7 +56,13 @@ class TimeSeriesStore {
   [[nodiscard]] std::vector<std::pair<SeriesKey, std::vector<Sample>>> range(
       const Selector& selector, double at_time, double window) const;
 
-  [[nodiscard]] std::vector<SeriesKey> series() const;
+  /// Default evaluation time of a query: the newest sample time in the
+  /// store, in one pass under one lock. Per series, the last-appended
+  /// sample at or before 1e18 counts if its time is >= 0; the result is
+  /// the maximum of those, or 0 when none counts. Recomputed on every
+  /// call rather than cached, so it stays right after compact() and
+  /// with out-of-order appends.
+  [[nodiscard]] double newest_time() const;
   [[nodiscard]] std::size_t series_count() const;
   [[nodiscard]] std::size_t sample_count() const;
 

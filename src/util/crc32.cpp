@@ -5,27 +5,54 @@
 namespace bifrost::util {
 namespace {
 
-constexpr std::array<std::uint32_t, 256> make_table() {
-  std::array<std::uint32_t, 256> table{};
+using Table = std::array<std::uint32_t, 256>;
+
+// Slicing-by-8 (Intel, Kounavis & Berry): kTables[0] is the classic
+// byte-at-a-time table; kTables[k][i] is the CRC of byte i followed by k
+// zero bytes, so eight table lookups advance the CRC by eight bytes.
+constexpr std::array<Table, 8> make_tables() {
+  std::array<Table, 8> tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < tables.size(); ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFFu];
+    }
+  }
+  return tables;
 }
 
-constexpr std::array<std::uint32_t, 256> kTable = make_table();
+constexpr std::array<Table, 8> kTables = make_tables();
+
+// Little-endian load from bytes, independent of host order and alignment.
+inline std::uint32_t load_le32(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
+}
 
 }  // namespace
 
 std::uint32_t crc32_update(std::uint32_t crc, const void* data,
                            std::size_t size) {
   const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = kTable[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
+  for (; size >= 8; bytes += 8, size -= 8) {
+    const std::uint32_t lo = crc ^ load_le32(bytes);
+    const std::uint32_t hi = load_le32(bytes + 4);
+    crc = kTables[7][lo & 0xFFu] ^ kTables[6][(lo >> 8) & 0xFFu] ^
+          kTables[5][(lo >> 16) & 0xFFu] ^ kTables[4][lo >> 24] ^
+          kTables[3][hi & 0xFFu] ^ kTables[2][(hi >> 8) & 0xFFu] ^
+          kTables[1][(hi >> 16) & 0xFFu] ^ kTables[0][hi >> 24];
+  }
+  for (; size > 0; ++bytes, --size) {
+    crc = kTables[0][(crc ^ *bytes) & 0xFFu] ^ (crc >> 8);
   }
   return crc;
 }

@@ -1,10 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <mutex>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "http/client.hpp"
 #include "http/url.hpp"
+#include "json/json.hpp"
 #include "metrics/query.hpp"
 #include "metrics/registry.hpp"
 #include "metrics/scraper.hpp"
@@ -83,6 +93,95 @@ TEST(TimeSeriesStore, SeriesEnumeration) {
   EXPECT_EQ(store.series_count(), 2u);
   store.clear();
   EXPECT_EQ(store.series_count(), 0u);
+}
+
+// The default query time as the metrics server used to compute it: for
+// every series key, an instant() at 1e18 with a 1e18 lookback, keeping
+// the maximum sample time seen (starting from 0).
+double scan_newest_time(const TimeSeriesStore& store,
+                        const std::set<SeriesKey>& keys) {
+  double at_time = 0.0;
+  for (const SeriesKey& key : keys) {
+    for (const auto& [k, sample] :
+         store.instant(Selector{key.name, key.labels}, 1e18, 1e18)) {
+      at_time = std::max(at_time, sample.time);
+    }
+  }
+  return at_time;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// Mostly small times with ties, plus the edges of the old rule: negative
+// and signed-zero times, the 1e18 horizon itself, times past it,
+// infinity and NaN.
+double random_sample_time(util::Rng& rng) {
+  const double u = rng.uniform();
+  if (u < 0.08) return -std::floor(rng.uniform() * 50.0);
+  if (u < 0.10) return -0.0;
+  if (u < 0.12) return 1e18;
+  if (u < 0.14) return 2e18;
+  if (u < 0.15) return std::numeric_limits<double>::infinity();
+  if (u < 0.16) return std::numeric_limits<double>::quiet_NaN();
+  return std::floor(rng.uniform() * 400.0) / 4.0;
+}
+
+// Label sets that nest, so one series' selector also matches others.
+SeriesKey random_series_key(util::Rng& rng) {
+  static const std::vector<Labels> kLabelSets = {
+      {}, {{"v", "a"}}, {{"v", "b"}}, {{"v", "a"}, {"r", "eu"}}};
+  static const std::vector<std::string> kNames = {"rt", "errors", "sales"};
+  return SeriesKey{
+      kNames[static_cast<std::size_t>(rng.uniform_int(0, 2))],
+      kLabelSets[static_cast<std::size_t>(rng.uniform_int(0, 3))]};
+}
+
+void record_random(TimeSeriesStore& store, std::set<SeriesKey>& keys,
+                   util::Rng& rng, int count) {
+  for (int i = 0; i < count; ++i) {
+    SeriesKey key = random_series_key(rng);
+    store.record(key.name, key.labels, random_sample_time(rng),
+                 rng.uniform());
+    keys.insert(std::move(key));
+  }
+}
+
+TEST(TimeSeriesStore, NewestTimeUsesLastAppendedSampleNotLargest) {
+  TimeSeriesStore store;
+  EXPECT_EQ(bits(store.newest_time()), bits(0.0));  // empty store
+  store.record("m", {}, 9.0, 1.0);
+  store.record("m", {}, 4.0, 1.0);  // out of order: now the series' last
+  store.record("n", {}, 3.0, 1.0);
+  EXPECT_DOUBLE_EQ(store.newest_time(), 4.0);
+  store.record("n", {}, -5.0, 1.0);  // negative last sample is ignored
+  EXPECT_DOUBLE_EQ(store.newest_time(), 4.0);
+  store.record("m", {}, 2e18, 1.0);  // past the horizon: 4.0 still counts
+  EXPECT_DOUBLE_EQ(store.newest_time(), 4.0);
+}
+
+TEST(TimeSeriesStore, NewestTimeMatchesPerSeriesInstantScan) {
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    util::Rng rng(seed);
+    TimeSeriesStore store;
+    std::set<SeriesKey> keys;
+    const auto check = [&](const char* stage) {
+      ASSERT_EQ(bits(store.newest_time()), bits(scan_newest_time(store, keys)))
+          << "seed " << seed << " " << stage;
+    };
+    check("empty");
+    record_random(store, keys, rng, static_cast<int>(rng.uniform_int(1, 40)));
+    check("random appends");
+    // compact() can empty a series while its key stays in the store.
+    store.compact(std::floor(rng.uniform() * 120.0) - 10.0);
+    check("after compact");
+    record_random(store, keys, rng, static_cast<int>(rng.uniform_int(0, 10)));
+    check("appends after compact");
+    store.clear();
+    keys.clear();
+    check("after clear");
+    record_random(store, keys, rng, static_cast<int>(rng.uniform_int(0, 10)));
+    check("appends after clear");
+  }
 }
 
 TEST(SeriesKey, ToStringCanonical) {
@@ -520,6 +619,128 @@ TEST(MetricsServer, IngestEndpoint) {
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_DOUBLE_EQ(hits[0].second.value, 9.0);
   server.stop();
+}
+
+TEST(MetricsServer, DefaultTimeIsNewestSampleTime) {
+  TimeSeriesStore store;
+  for (int i = 0; i <= 10; ++i) {
+    const double t = static_cast<double>(i);
+    store.record("requests_total", {{"version", "a"}}, t, 10.0 * i);
+    store.record("requests_total", {{"version", "b"}}, t, 5.0 * i);
+    store.record("response_time_ms", {{"service", "search"},
+                                      {"version", "fast"}}, t, 100.0 + i);
+    store.record("request_errors", {{"service", "search"},
+                                    {"version", "fast"}}, t, 0.5 * i);
+  }
+  store.record("sales_total", {{"version", "fast"}}, 12.5, 150.0);
+  store.record("sales_total", {{"version", "stable"}}, 12.0, 120.0);
+  store.record("sales_total", {{"version", "stable"}}, 11.0, 110.0);
+  store.record("stale", {}, -3.0, 1.0);
+  ASSERT_EQ(store.newest_time(), 12.5);
+
+  MetricsServer server(store);
+  server.start();
+  http::HttpClient client;
+  const std::string base = "http://127.0.0.1:" +
+                           std::to_string(server.port()) +
+                           "/api/v1/query?query=";
+  for (const std::string query : {
+           R"(response_time_ms{service="search",version="fast"})",
+           R"(request_errors{service="search",version="fast"})",
+           R"(sales_total{version="fast"})",
+           R"(sales_total{version="fast"} - sales_total{version="stable"})",
+           "sum(requests_total)",
+           "avg(response_time_ms)",
+           "rate(requests_total[4s])",
+           R"(increase(requests_total{version="a"}[5s]))",
+           "stale",
+           "missing_metric",
+       }) {
+    auto by_default = client.get(base + http::url_encode(query));
+    auto explicit_time =
+        client.get(base + http::url_encode(query) + "&time=12.5");
+    ASSERT_TRUE(by_default.ok()) << by_default.error_message();
+    ASSERT_TRUE(explicit_time.ok()) << explicit_time.error_message();
+    EXPECT_EQ(by_default.value().status, 200) << query;
+    EXPECT_EQ(by_default.value().body, explicit_time.value().body) << query;
+    EXPECT_NE(by_default.value().body.find("\"time\":12.5"), std::string::npos)
+        << query;
+  }
+  server.stop();
+}
+
+// Queries run on the reactor threads while ingests land on the same
+// store: every request succeeds and every acknowledged ingest is visible
+// to a query issued after the acknowledgement.
+TEST(MetricsServer, InlineQueriesSeeEveryAcknowledgedIngest) {
+  TimeSeriesStore store;
+  MetricsServer server(store);
+  server.start();
+  const std::string base = "http://127.0.0.1:" + std::to_string(server.port());
+  constexpr int kPoints = 500;
+  std::atomic<int> acked{0};
+  std::mutex errors_mutex;
+  std::vector<std::string> errors;
+  const auto fail = [&](std::string message) {
+    const std::lock_guard<std::mutex> lock(errors_mutex);
+    errors.push_back(std::move(message));
+  };
+
+  std::thread ingester([&] {
+    http::HttpClient client;
+    for (int i = 1; i <= kPoints; ++i) {
+      const std::string n = std::to_string(i);
+      auto response = client.post(
+          base + "/api/v1/ingest",
+          R"({"name":"hammer","labels":{"k":"v"},"time":)" + n +
+              R"(,"value":)" + n + "}",
+          "application/json");
+      if (!response.ok() || response.value().status != 200) {
+        fail("ingest " + n + " failed");
+      }
+      acked.store(i);
+    }
+  });
+
+  // One reader at the default time (newest sample), one pinned to the
+  // newest acknowledged time.
+  const auto reader = [&](bool pin_time) {
+    http::HttpClient client;
+    const std::string url =
+        base + "/api/v1/query?query=" + http::url_encode(R"(hammer{k="v"})");
+    for (bool last = false; !last;) {
+      const int floor = acked.load();
+      last = floor == kPoints;
+      auto response = client.get(
+          pin_time ? url + "&time=" + std::to_string(floor) : url);
+      if (!response.ok() || response.value().status != 200) {
+        fail("query after ingest " + std::to_string(floor) + " failed");
+        continue;
+      }
+      auto doc = json::parse(response.value().body);
+      const json::Value* data = doc.ok() ? doc.value().find("data") : nullptr;
+      if (data == nullptr) {
+        fail("unparsable body: " + response.value().body);
+        continue;
+      }
+      const double value = data->get_number("value", -1.0);
+      const bool seen = pin_time ? value == floor : value >= floor;
+      if (!seen) {
+        fail("ingest " + std::to_string(floor) + " not visible: " +
+             response.value().body);
+      }
+    }
+  };
+  std::thread default_reader(reader, false);
+  std::thread pinned_reader(reader, true);
+  ingester.join();
+  default_reader.join();
+  pinned_reader.join();
+  server.stop();
+
+  EXPECT_TRUE(errors.empty()) << errors.size() << " failures, first: "
+                              << errors.front();
+  EXPECT_EQ(store.sample_count(), static_cast<std::size_t>(kPoints));
 }
 
 TEST(Scraper, CollectsFromHttpTarget) {

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <string_view>
+#include <vector>
 
+#include "util/crc32.hpp"
 #include "util/csv.hpp"
 #include "util/result.hpp"
 #include "util/rng.hpp"
@@ -306,6 +311,66 @@ TEST(Csv, RejectsWidthMismatch) {
 TEST(Csv, RejectsEmptyHeader) {
   EXPECT_THROW(CsvWriter(testing::TempDir() + "x.csv", {}),
                std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// crc32
+
+// Byte-at-a-time CRC-32 straight from the polynomial: the reference the
+// table-driven implementation must match bit for bit.
+std::uint32_t reference_crc32(const unsigned char* data, std::size_t size) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::vector<unsigned char> random_bytes(Rng& rng, std::size_t size) {
+  std::vector<unsigned char> out(size);
+  for (auto& b : out) b = static_cast<unsigned char>(rng.uniform_int(0, 255));
+  return out;
+}
+
+TEST(Crc32, StandardCheckValue) {
+  EXPECT_EQ(crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(crc32(""), 0u);
+}
+
+TEST(Crc32, MatchesReferenceAtEveryAlignment) {
+  Rng rng(14);
+  // Room for the longest buffer at the largest start offset.
+  const std::vector<unsigned char> pool = random_bytes(rng, 1024 + 8);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t size = 0; size <= 1024; ++size) {
+      const unsigned char* start = pool.data() + offset;
+      const std::string_view view(reinterpret_cast<const char*>(start), size);
+      ASSERT_EQ(crc32(view), reference_crc32(start, size))
+          << "offset " << offset << " size " << size;
+    }
+  }
+}
+
+TEST(Crc32, MatchesReferenceOnLargeBuffer) {
+  Rng rng(600);
+  const std::vector<unsigned char> big = random_bytes(rng, 600 * 1000);
+  const std::string_view view(reinterpret_cast<const char*>(big.data()),
+                              big.size());
+  EXPECT_EQ(crc32(view), reference_crc32(big.data(), big.size()));
+}
+
+TEST(Crc32, IncrementalUpdatesCompose) {
+  Rng rng(7);
+  const std::vector<unsigned char> buf = random_bytes(rng, 4099);
+  for (const std::size_t split : {0u, 1u, 7u, 8u, 9u, 2048u, 4099u}) {
+    std::uint32_t crc = crc32_update(crc32_init(), buf.data(), split);
+    crc = crc32_update(crc, buf.data() + split, buf.size() - split);
+    EXPECT_EQ(crc32_final(crc), reference_crc32(buf.data(), buf.size()))
+        << "split " << split;
+  }
 }
 
 // Property-style sweep: percentile(xs, 50) equals median for many sizes.
