@@ -23,10 +23,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -54,14 +52,9 @@ using namespace bifrost;
 // Routing-decision scaling sweep: closed-loop client threads performing
 // the proxy's per-request data-plane work (sticky lookup, routing
 // decision, sticky bookkeeping, counters, latency recording) without
-// the socket layer, so the locking structure is what is measured.
-//
-// "legacy" reproduces the pre-sharding data plane: one global mutex
-// pair around a shared session map + RNG, another around counters, and
-// a third around per-version latency ring buffers — every request
-// serialized three times. "sharded" is the current data plane: sharded
-// LRU SessionTable, thread-local RNG, lock-free counters, and lock-free
-// log-bucket latency histograms.
+// the socket layer, so the locking structure is what is measured: a
+// sharded LRU SessionTable, thread-local RNG, lock-free counters, and
+// lock-free log-bucket latency histograms.
 
 proxy::ProxyConfig sweep_config() {
   proxy::ProxyConfig config;
@@ -73,65 +66,6 @@ proxy::ProxyConfig sweep_config() {
   };
   return config;
 }
-
-struct LegacyPath {
-  std::mutex session_mutex;
-  std::unordered_map<std::string, std::string> sticky;
-  std::vector<std::string> sticky_order;
-  std::mutex rng_mutex;
-  util::Rng rng{1};
-  std::mutex counter_mutex;
-  double requests[2] = {0.0, 0.0};
-  double request_time_ms[2] = {0.0, 0.0};
-  std::mutex latency_mutex;
-  std::unordered_map<std::string, std::vector<double>> latencies;
-  std::unordered_map<std::string, std::size_t> latency_cursor;
-  static constexpr std::size_t kLatencyWindow = 4096;
-  static constexpr std::size_t kMaxSessions = 1 << 20;
-
-  std::size_t handle(const proxy::ProxyConfig& config,
-                     const http::Request& request, const std::string& id,
-                     util::Rng& /*thread_rng*/) {
-    std::size_t index;
-    {
-      const std::lock_guard<std::mutex> session_lock(session_mutex);
-      const std::lock_guard<std::mutex> rng_lock(rng_mutex);
-      index = proxy::BifrostProxy::decide_backend(config, request, id,
-                                                  sticky, rng);
-    }
-    const proxy::BackendTarget& backend = config.backends[index];
-    {
-      const std::lock_guard<std::mutex> lock(session_mutex);
-      auto [it, inserted] = sticky.try_emplace(id, backend.version);
-      if (!inserted) {
-        it->second = backend.version;
-      } else {
-        sticky_order.push_back(id);
-        if (sticky_order.size() > kMaxSessions) {
-          sticky.erase(sticky_order.front());
-          sticky_order.erase(sticky_order.begin());
-        }
-      }
-    }
-    {
-      const std::lock_guard<std::mutex> lock(counter_mutex);
-      requests[index] += 1.0;
-      request_time_ms[index] += 0.5;
-    }
-    {
-      const std::lock_guard<std::mutex> lock(latency_mutex);
-      auto& window = latencies[backend.version];
-      if (window.size() < kLatencyWindow) {
-        window.push_back(0.5);
-      } else {
-        auto& cursor = latency_cursor[backend.version];
-        window[cursor] = 0.5;
-        cursor = (cursor + 1) % kLatencyWindow;
-      }
-    }
-    return index;
-  }
-};
 
 struct ShardedPath {
   proxy::SessionTable sessions{16, 1 << 20};
@@ -177,9 +111,9 @@ struct SweepPoint {
   double p99_us = 0.0;
 };
 
-template <typename Path>
-SweepPoint run_sweep_point(Path& path, const proxy::ProxyConfig& config,
-                           int threads, double seconds) {
+SweepPoint run_sweep_point(ShardedPath& path,
+                           const proxy::ProxyConfig& config, int threads,
+                           double seconds) {
   std::atomic<bool> go{false};
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> total_ops{0};
@@ -243,24 +177,17 @@ void run_scaling_sweep() {
   bifrost::bench::print_header(
       "Routing-decision scaling sweep (closed loop, sticky 50/50 split)");
   std::printf(
-      "per-request data-plane work without sockets; 'legacy' = global\n"
-      "session/RNG/counter/latency mutexes (pre-sharding), 'sharded' =\n"
-      "sharded sessions + thread-local RNG + lock-free histograms.\n"
+      "per-request data-plane work without sockets: sharded sessions +\n"
+      "thread-local RNG + lock-free histograms.\n"
       "%.1f s per point, %u hardware threads.\n\n",
       seconds, std::thread::hardware_concurrency());
-  std::printf("threads | %14s %9s | %14s %9s | speedup\n", "legacy ops/s",
-              "p99 us", "sharded ops/s", "p99 us");
+  std::printf("threads | %14s %9s\n", "ops/s", "p99 us");
   for (const int threads : {1, 2, 4, 8}) {
-    LegacyPath legacy;
-    const SweepPoint before =
-        run_sweep_point(legacy, config, threads, seconds);
     ShardedPath sharded(config);
-    const SweepPoint after =
+    const SweepPoint point =
         run_sweep_point(sharded, config, threads, seconds);
-    std::printf("%7d | %14.0f %9.2f | %14.0f %9.2f | %6.2fx\n", threads,
-                before.ops_per_second, before.p99_us, after.ops_per_second,
-                after.p99_us,
-                after.ops_per_second / before.ops_per_second);
+    std::printf("%7d | %14.0f %9.2f\n", threads, point.ops_per_second,
+                point.p99_us);
   }
   std::printf("\n(record new numbers in bench/TRAJECTORY.md)\n");
 }
@@ -382,9 +309,9 @@ void run_shed_vs_saturate() {
 }
 
 // ---------------------------------------------------------------------------
-// I/O-layer sweep: the reactor backend vs the legacy threaded backend
-// under many concurrent keep-alive connections. The flood client runs
-// in a separate process (fork + exec of this binary in client mode) so
+// I/O-layer sweep: the HttpServer at 1, 2 and 4 reactor workers under
+// many concurrent keep-alive connections. The flood client runs in a
+// separate process (fork + exec of this binary in client mode) so
 // the 10k-connection points fit under the per-process fd limit — server
 // and client each hold one fd per connection. exec immediately after
 // fork keeps the fork safe despite the parent's reactor threads.
@@ -563,51 +490,33 @@ void run_io_sweep() {
       : bifrost::bench::full_mode() ? 5.0
                                     : 2.0;
   bifrost::bench::print_header(
-      "I/O-layer sweep: reactor vs threaded HttpServer backend, "
-      "keep-alive fleets");
+      "I/O-layer sweep: reactor HttpServer, keep-alive fleets");
   std::printf(
       "flood client in a forked process, 4 driver threads round-robin\n"
-      "GETs over N open keep-alive connections; trivial handler. The\n"
-      "legacy backend is capped at 1k conns: its dispatcher rebuilds an\n"
-      "O(n) poll set per request and accepts one connection per poll\n"
-      "round, so larger fleets take minutes just to dial. %.1f s per\n"
-      "point, %u hardware threads.\n\n",
+      "GETs over N open keep-alive connections; trivial handler.\n"
+      "%.1f s per point, %u hardware threads.\n\n",
       seconds, std::thread::hardware_concurrency());
 
-  struct Arm {
-    const char* name;
-    http::HttpServer::Backend backend;
-    std::size_t reactor_workers;
-    std::vector<std::size_t> conns;
-  };
-  std::vector<std::size_t> reactor_conns{100, 1000, 5000, 10000};
-  std::vector<std::size_t> thread_conns{100, 1000};
-  if (bifrost::bench::smoke_mode()) {
-    reactor_conns = {50};
-    thread_conns = {50};
-  }
-  const std::vector<Arm> arms = {
-      {"threads", http::HttpServer::Backend::kThreads, 0, thread_conns},
-      {"reactor-1w", http::HttpServer::Backend::kReactor, 1, reactor_conns},
-      {"reactor-2w", http::HttpServer::Backend::kReactor, 2, reactor_conns},
-      {"reactor-4w", http::HttpServer::Backend::kReactor, 4, reactor_conns},
-  };
+  const std::vector<std::size_t> fleet =
+      bifrost::bench::smoke_mode()
+          ? std::vector<std::size_t>{50}
+          : std::vector<std::size_t>{100, 1000, 5000, 10000};
 
-  std::printf("%-10s | %6s | %8s | %9s | %9s | %9s | %6s\n", "backend",
+  std::printf("%-10s | %6s | %8s | %9s | %9s | %9s | %6s\n", "arm",
               "conns", "reqs", "req/s", "p50 us", "p99 us", "errors");
-  for (const Arm& arm : arms) {
-    for (const std::size_t conns : arm.conns) {
+  for (const std::size_t workers : {1, 2, 4}) {
+    for (const std::size_t conns : fleet) {
       http::HttpServer::Options options;
-      options.backend = arm.backend;
-      options.reactor_workers = arm.reactor_workers;
+      options.reactor_workers = workers;
       options.worker_threads = 4;
       http::HttpServer server(options, [](const http::Request&) {
         return http::Response::text(200, "ok");
       });
       server.start();
       const IoPoint point = run_io_client(server.port(), conns, seconds);
-      std::printf("%-10s | %6zu | %8llu | %9.0f | %9.1f | %9.1f | %6llu\n",
-                  arm.name, point.conns,
+      std::printf("reactor-%zuw | %6zu | %8llu | %9.0f | %9.1f | %9.1f | "
+                  "%6llu\n",
+                  workers, point.conns,
                   static_cast<unsigned long long>(point.requests), point.rps,
                   point.p50_us, point.p99_us,
                   static_cast<unsigned long long>(point.errors));
@@ -890,7 +799,7 @@ int main() {
     return io_client_main();
   }
 
-  // BIFROST_BENCH_IO_ONLY=1 runs just the reactor-vs-threads I/O sweep.
+  // BIFROST_BENCH_IO_ONLY=1 runs just the reactor I/O sweep.
   if (const char* only = std::getenv("BIFROST_BENCH_IO_ONLY");
       only != nullptr && only[0] == '1') {
     run_io_sweep();
@@ -919,7 +828,7 @@ int main() {
     return 0;
   }
 
-  // Part 1: data-plane scaling sweep (legacy vs sharded routing path).
+  // Part 1: data-plane scaling sweep of the sharded routing path.
   // BIFROST_BENCH_SWEEP_ONLY=1 exits after it, for quick re-measurement.
   run_scaling_sweep();
   if (const char* only = std::getenv("BIFROST_BENCH_SWEEP_ONLY");
@@ -930,7 +839,7 @@ int main() {
   // Part 2: overload protection — shadow shedding vs saturation.
   run_shed_vs_saturate();
 
-  // Part 3: the I/O layer itself — reactor vs threaded backend.
+  // Part 3: the I/O layer itself — reactor HttpServer per worker count.
   run_io_sweep();
 
   Timeline t;

@@ -48,10 +48,9 @@ void BM_RoutingDecision_CookieRandom(benchmark::State& state) {
   const proxy::ProxyConfig config = cookie_config(false);
   http::Request request;
   util::Rng rng(1);
-  const std::unordered_map<std::string, std::string> sticky;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        proxy::BifrostProxy::decide_backend(config, request, "", sticky, rng));
+    benchmark::DoNotOptimize(proxy::BifrostProxy::decide_backend(
+        config, request, std::nullopt, rng));
   }
 }
 BENCHMARK(BM_RoutingDecision_CookieRandom);
@@ -70,8 +69,13 @@ void BM_RoutingDecision_CookieSticky(benchmark::State& state) {
   }
   std::size_t next = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(proxy::BifrostProxy::decide_backend(
-        config, request, ids[next++ % ids.size()], sticky, rng));
+    std::optional<std::string> pinned;
+    if (const auto it = sticky.find(ids[next++ % ids.size()]);
+        it != sticky.end()) {
+      pinned = it->second;
+    }
+    benchmark::DoNotOptimize(
+        proxy::BifrostProxy::decide_backend(config, request, pinned, rng));
   }
 }
 // Setup cost (building the sticky table) dominates the big range
@@ -90,10 +94,9 @@ void BM_RoutingDecision_Header(benchmark::State& state) {
   http::Request request;
   request.headers.set("X-Group", "B");
   util::Rng rng(1);
-  const std::unordered_map<std::string, std::string> sticky;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        proxy::BifrostProxy::decide_backend(config, request, "", sticky, rng));
+    benchmark::DoNotOptimize(proxy::BifrostProxy::decide_backend(
+        config, request, std::nullopt, rng));
   }
 }
 BENCHMARK(BM_RoutingDecision_Header);

@@ -68,8 +68,6 @@ EngineServer::EngineServer(Engine& engine, std::uint16_t port)
   http::HttpServer::Options options;
   options.port = port;
   options.worker_threads = 8;
-  // Long-poll handlers block; give them room beyond the default timeout.
-  options.io_timeout = std::chrono::milliseconds(60000);
   server_ = std::make_unique<http::HttpServer>(
       options, [this](const http::Request& req) { return handle(req); });
 }

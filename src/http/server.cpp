@@ -1,14 +1,8 @@
 #include "http/server.hpp"
 
-#include <poll.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
-#include <vector>
 
+#include "http/parser.hpp"
 #include "util/log.hpp"
 #include "util/strings.hpp"
 
@@ -21,15 +15,6 @@ namespace {
 /// under backpressure.
 constexpr std::size_t kReactorReadBound =
     kMaxHeaderBytes + kMaxBodyBytes + 8192;
-
-HttpServer::Backend resolve_backend(HttpServer::Backend configured) {
-  if (const char* env = std::getenv("BIFROST_HTTP_BACKEND")) {
-    const std::string value(env);
-    if (value == "threads") return HttpServer::Backend::kThreads;
-    if (value == "reactor") return HttpServer::Backend::kReactor;
-  }
-  return configured;
-}
 
 bool wants_close(const Request& request) {
   const auto conn_header = request.headers.get("Connection");
@@ -56,27 +41,6 @@ Response HttpServer::run_handler(const Request& request) {
 
 void HttpServer::start() {
   if (running_.exchange(true)) return;
-  backend_ = resolve_backend(options_.backend);
-  if (backend_ == Backend::kReactor) {
-    start_reactor();
-    return;
-  }
-  auto listener = net::TcpListener::bind(options_.port);
-  if (!listener.ok()) {
-    running_ = false;
-    throw std::runtime_error("http server: " + listener.error_message());
-  }
-  listener_ = std::move(listener).value();
-  port_ = listener_.port();
-  if (::pipe(wake_pipe_) != 0) {
-    running_ = false;
-    throw std::runtime_error("http server: pipe failed");
-  }
-  pool_ = std::make_unique<runtime::ThreadPool>(options_.worker_threads);
-  dispatch_thread_ = std::thread([this] { dispatch_loop(); });
-}
-
-void HttpServer::start_reactor() {
   net::Reactor::Options reactor_options;
   reactor_options.port = options_.port;
   reactor_options.workers = options_.reactor_workers;
@@ -162,7 +126,8 @@ net::Reactor::Verdict HttpServer::reactor_data(net::Reactor::ConnId id,
   }
 }
 
-void HttpServer::stop_reactor() {
+void HttpServer::stop() {
+  if (!running_.exchange(false)) return;
   reactor_->drain();
   {
     std::unique_lock<std::mutex> lock(mutex_);
@@ -182,243 +147,8 @@ void HttpServer::stop_reactor() {
   reactor_.reset();
 }
 
-void HttpServer::stop() {
-  if (!running_.exchange(false)) return;
-  if (backend_ == Backend::kReactor) {
-    stop_reactor();
-    return;
-  }
-  listener_.close();
-  wake_dispatcher();
-  if (dispatch_thread_.joinable()) dispatch_thread_.join();
-
-  // Graceful drain: idle connections carry no request, close them now;
-  // busy connections get up to drain_timeout to finish their in-flight
-  // request (workers stop serving follow-up requests once running_ is
-  // false), then are force-closed.
-  bool stragglers = false;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    for (auto& [id, conn] : connections_) {
-      const auto it = idle_.find(id);
-      if (it != idle_.end() && it->second) conn->stream.shutdown_both();
-    }
-    const auto busy = [this] {
-      for (const auto& [id, is_idle] : idle_) {
-        if (!is_idle) return true;
-      }
-      return false;
-    };
-    if (options_.drain_timeout.count() > 0 && busy()) {
-      drain_cv_.wait_for(lock, options_.drain_timeout,
-                         [&] { return !busy(); });
-    }
-    stragglers = busy();
-    // Unblock any straggling workers mid-read so the pool drains.
-    for (auto& [id, conn] : connections_) conn->stream.shutdown_both();
-  }
-  // A straggler may be blocked inside its handler rather than on the
-  // connection we just shut down; without this the pool join below
-  // waits for the handler's own (possibly much longer) timeout.
-  if (stragglers && options_.on_drain_expired) options_.on_drain_expired();
-  if (pool_) pool_->shutdown();
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    connections_.clear();
-    idle_.clear();
-  }
-  for (int& fd : wake_pipe_) {
-    if (fd >= 0) {
-      ::close(fd);
-      fd = -1;
-    }
-  }
-}
-
 std::size_t HttpServer::open_connections() const {
-  if (backend_ == Backend::kReactor) {
-    return reactor_ ? reactor_->open_connections() : 0;
-  }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return connections_.size();
-}
-
-void HttpServer::wake_dispatcher() {
-  if (wake_pipe_[1] >= 0) {
-    const char byte = 'w';
-    [[maybe_unused]] const ssize_t n = ::write(wake_pipe_[1], &byte, 1);
-  }
-}
-
-void HttpServer::dispatch_loop() {
-  while (running_.load()) {
-    // Snapshot idle connections for the poll set.
-    std::vector<std::uint64_t> ids;
-    std::vector<pollfd> fds;
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      fds.reserve(idle_.size() + 2);
-      fds.push_back(pollfd{listener_.valid() ? listener_.fd() : -1, POLLIN, 0});
-      fds.push_back(pollfd{wake_pipe_[0], POLLIN, 0});
-      for (const auto& [id, is_idle] : idle_) {
-        if (!is_idle) continue;
-        const auto it = connections_.find(id);
-        if (it == connections_.end()) continue;
-        ids.push_back(id);
-        fds.push_back(pollfd{it->second->stream.fd(), POLLIN, 0});
-      }
-    }
-
-    const int rc = ::poll(fds.data(), fds.size(), /*timeout_ms=*/500);
-    if (!running_.load()) return;
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      util::log_error("http_server", "poll failed: ", std::strerror(errno));
-      return;
-    }
-
-    // Drain wake pipe.
-    if ((fds[1].revents & POLLIN) != 0) {
-      char buf[64];
-      while (::read(wake_pipe_[0], buf, sizeof buf) == sizeof buf) {
-      }
-    }
-
-    // New connections.
-    if ((fds[0].revents & (POLLIN | POLLERR | POLLHUP)) != 0) {
-      auto stream = listener_.accept();
-      if (stream.ok()) {
-        (void)stream.value().set_io_timeout(options_.io_timeout);
-        auto conn =
-            std::make_shared<Connection>(std::move(stream).value());
-        const std::lock_guard<std::mutex> lock(mutex_);
-        const std::uint64_t id = next_id_++;
-        connections_[id] = std::move(conn);
-        idle_[id] = true;
-      } else if (running_.load()) {
-        util::log_debug("http_server",
-                        "accept failed: ", stream.error_message());
-      }
-    }
-
-    // Readable idle connections -> hand to workers.
-    const auto now = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      const pollfd& pfd = fds[i + 2];
-      const std::uint64_t id = ids[i];
-      if ((pfd.revents & (POLLIN | POLLERR | POLLHUP)) != 0) {
-        {
-          const std::lock_guard<std::mutex> lock(mutex_);
-          const auto it = idle_.find(id);
-          if (it == idle_.end() || !it->second) continue;
-          it->second = false;
-          connections_[id]->last_active = now;
-        }
-        if (!pool_->submit([this, id] { serve_connection(id); })) {
-          // Pool refused (server shutting down): the connection was
-          // marked busy above but no worker will ever serve it — drop
-          // it outright so the idle sweep cannot resurrect a socket
-          // nobody owns.
-          util::log_debug("http_server",
-                          "worker pool refused connection ", id,
-                          " (shutting down)");
-          const std::lock_guard<std::mutex> lock(mutex_);
-          connections_.erase(id);
-          idle_.erase(id);
-        }
-      }
-    }
-
-    // Idle-timeout sweep.
-    {
-      std::vector<std::uint64_t> expired;
-      const std::lock_guard<std::mutex> lock(mutex_);
-      for (const auto& [id, is_idle] : idle_) {
-        if (!is_idle) continue;
-        const auto it = connections_.find(id);
-        if (it != connections_.end() &&
-            now - it->second->last_active > options_.idle_timeout) {
-          expired.push_back(id);
-        }
-      }
-      for (const std::uint64_t id : expired) {
-        connections_.erase(id);
-        idle_.erase(id);
-      }
-    }
-  }
-}
-
-void HttpServer::serve_connection(std::uint64_t id) {
-  std::shared_ptr<Connection> conn;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = connections_.find(id);
-    if (it == connections_.end()) return;
-    conn = it->second;
-  }
-
-  // Serve requests until the connection has no more buffered or
-  // immediately-readable data, then hand it back to the dispatcher.
-  while (true) {
-    auto request = read_request(conn->stream, conn->buffer);
-    if (!request.ok()) {
-      if (request.error_message() != "connection closed") {
-        util::log_debug("http_server",
-                        "read failed: ", request.error_message());
-        Response err = Response::bad_request(request.error_message());
-        err.headers.set("Connection", "close");
-        (void)conn->stream.write_all(err.serialize());
-      }
-      close_connection(id);
-      return;
-    }
-    const Request& req = request.value();
-    Response response = run_handler(req);
-    requests_served_.fetch_add(1);
-
-    const bool close = wants_close(req);
-    response.headers.set("Connection", close ? "close" : "keep-alive");
-    if (!conn->stream.write_all(response.serialize())) {
-      close_connection(id);
-      return;
-    }
-    if (close) {
-      close_connection(id);
-      return;
-    }
-    // Pipelined request already buffered? Serve it now; otherwise
-    // return the connection to the poll set.
-    if (conn->buffer.data.empty()) {
-      conn->last_active = std::chrono::steady_clock::now();
-      return_to_idle(id);
-      return;
-    }
-    // Draining: the in-flight request was answered; drop the rest.
-    if (!running_.load()) {
-      close_connection(id);
-      return;
-    }
-  }
-}
-
-void HttpServer::return_to_idle(std::uint64_t id) {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (!connections_.contains(id)) return;
-    idle_[id] = true;
-  }
-  drain_cv_.notify_all();
-  wake_dispatcher();
-}
-
-void HttpServer::close_connection(std::uint64_t id) {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    connections_.erase(id);
-    idle_.erase(id);
-  }
-  drain_cv_.notify_all();
+  return reactor_ ? reactor_->open_connections() : 0;
 }
 
 }  // namespace bifrost::http

@@ -57,7 +57,7 @@ void LoadGenerator::start() {
       }
     });
   }
-  dispatcher_ = std::thread([this] { dispatch_loop(); });
+  dispatcher_ = std::thread([this] { arrival_loop(); });
 }
 
 void LoadGenerator::stop() {
@@ -76,7 +76,7 @@ void LoadGenerator::run_for(std::chrono::milliseconds duration) {
   stop();
 }
 
-void LoadGenerator::dispatch_loop() {
+void LoadGenerator::arrival_loop() {
   auto next = start_time_;
   std::uint64_t sequence = 0;
   while (running_.load()) {

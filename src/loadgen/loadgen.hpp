@@ -97,7 +97,7 @@ class LoadGenerator {
     std::mutex mutex;
   };
 
-  void dispatch_loop();
+  void arrival_loop();
   void fire(std::size_t user_index, const RequestTemplate& tmpl,
             double at_seconds);
 

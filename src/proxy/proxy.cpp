@@ -357,20 +357,6 @@ std::size_t BifrostProxy::decide_backend(
   return config.backends.size() - 1;
 }
 
-std::size_t BifrostProxy::decide_backend(
-    const ProxyConfig& config, const http::Request& request,
-    const std::string& session_id,
-    const std::unordered_map<std::string, std::string>& sticky,
-    util::Rng& rng) {
-  std::optional<std::string> sticky_version;
-  if (!session_id.empty()) {
-    if (const auto it = sticky.find(session_id); it != sticky.end()) {
-      sticky_version = it->second;
-    }
-  }
-  return decide_backend(config, request, sticky_version, rng);
-}
-
 http::Response BifrostProxy::handle_data(const http::Request& request) {
   const auto started = std::chrono::steady_clock::now();
   const std::shared_ptr<const RouteState> state = route_state();

@@ -203,14 +203,6 @@ class BifrostProxy {
       const ProxyConfig& config, const http::Request& request,
       const std::optional<std::string>& sticky_version, util::Rng& rng);
 
-  /// Map-based convenience overload (legacy signature): looks
-  /// session_id up in `sticky` and delegates.
-  static std::size_t decide_backend(
-      const ProxyConfig& config, const http::Request& request,
-      const std::string& session_id,
-      const std::unordered_map<std::string, std::string>& sticky,
-      util::Rng& rng);
-
  private:
   /// Per-backend-version hot-path instrumentation, resolved once per
   /// apply() so handle_data never takes the registry lock.

@@ -1,7 +1,6 @@
 // Live server/client integration over loopback sockets: keep-alive,
-// chunked decoding, timeouts, pooling, concurrent load. The whole suite
-// runs once per HttpServer backend (reactor and legacy threads): both
-// must honor the same handler contract and wire behavior.
+// chunked decoding, timeouts, pooling, concurrent load, against the
+// reactor-backed HttpServer.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,16 +15,10 @@ namespace {
 
 using namespace std::chrono_literals;
 
-std::string backend_name(
-    const testing::TestParamInfo<HttpServer::Backend>& info) {
-  return info.param == HttpServer::Backend::kReactor ? "Reactor" : "Threads";
-}
-
-class HttpServerTest : public testing::TestWithParam<HttpServer::Backend> {
+class HttpServerTest : public testing::Test {
  protected:
   void SetUp() override {
     HttpServer::Options options;
-    options.backend = GetParam();
     options.worker_threads = 4;
     server_ = std::make_unique<HttpServer>(
         options, [this](const Request& req) { return handle(req); });
@@ -54,7 +47,7 @@ class HttpServerTest : public testing::TestWithParam<HttpServer::Backend> {
   std::atomic<int> requests_{0};
 };
 
-TEST_P(HttpServerTest, BasicRoundTrip) {
+TEST_F(HttpServerTest, BasicRoundTrip) {
   auto res = client_.post(
       "http://127.0.0.1:" + std::to_string(server_->port()) + "/echo",
       "ping", "text/plain");
@@ -63,7 +56,7 @@ TEST_P(HttpServerTest, BasicRoundTrip) {
   EXPECT_EQ(res.value().body, "ping");
 }
 
-TEST_P(HttpServerTest, HeadersForwarded) {
+TEST_F(HttpServerTest, HeadersForwarded) {
   Request req;
   req.method = "POST";
   req.target = "/echo";
@@ -74,7 +67,7 @@ TEST_P(HttpServerTest, HeadersForwarded) {
   EXPECT_EQ(res.value().headers.get("X-Echo"), "copy-me");
 }
 
-TEST_P(HttpServerTest, KeepAliveReusesConnection) {
+TEST_F(HttpServerTest, KeepAliveReusesConnection) {
   const std::string url =
       "http://127.0.0.1:" + std::to_string(server_->port()) + "/echo";
   ASSERT_TRUE(client_.post(url, "1", "text/plain").ok());
@@ -83,7 +76,7 @@ TEST_P(HttpServerTest, KeepAliveReusesConnection) {
   EXPECT_EQ(client_.idle_connections(), 1u);  // same connection reused
 }
 
-TEST_P(HttpServerTest, ConnectionCloseHonored) {
+TEST_F(HttpServerTest, ConnectionCloseHonored) {
   Request req;
   req.method = "GET";
   req.target = "/echo";
@@ -94,7 +87,7 @@ TEST_P(HttpServerTest, ConnectionCloseHonored) {
   EXPECT_EQ(client_.idle_connections(), 0u);
 }
 
-TEST_P(HttpServerTest, HandlerExceptionBecomes500) {
+TEST_F(HttpServerTest, HandlerExceptionBecomes500) {
   auto res = client_.get("http://127.0.0.1:" +
                          std::to_string(server_->port()) + "/boom");
   ASSERT_TRUE(res.ok());
@@ -102,14 +95,14 @@ TEST_P(HttpServerTest, HandlerExceptionBecomes500) {
   EXPECT_NE(res.value().body.find("handler exploded"), std::string::npos);
 }
 
-TEST_P(HttpServerTest, NotFoundStatus) {
+TEST_F(HttpServerTest, NotFoundStatus) {
   auto res = client_.get("http://127.0.0.1:" +
                          std::to_string(server_->port()) + "/nope");
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res.value().status, 404);
 }
 
-TEST_P(HttpServerTest, MalformedRequestGets400) {
+TEST_F(HttpServerTest, MalformedRequestGets400) {
   auto stream = net::TcpStream::connect("127.0.0.1", server_->port());
   ASSERT_TRUE(stream.ok());
   ASSERT_TRUE(stream.value().write_all("NOT-HTTP\r\n\r\n"));
@@ -119,7 +112,7 @@ TEST_P(HttpServerTest, MalformedRequestGets400) {
   EXPECT_EQ(res.value().status, 400);
 }
 
-TEST_P(HttpServerTest, ChunkedResponseDecoded) {
+TEST_F(HttpServerTest, ChunkedResponseDecoded) {
   // Speak raw HTTP from a fake backend: client must decode chunks.
   auto listener = net::TcpListener::bind(0);
   ASSERT_TRUE(listener.ok());
@@ -139,7 +132,7 @@ TEST_P(HttpServerTest, ChunkedResponseDecoded) {
   EXPECT_EQ(res.value().body, "Wikipedia");
 }
 
-TEST_P(HttpServerTest, EofDelimitedResponseBody) {
+TEST_F(HttpServerTest, EofDelimitedResponseBody) {
   auto listener = net::TcpListener::bind(0);
   ASSERT_TRUE(listener.ok());
   const std::uint16_t port = listener.value().port();
@@ -157,7 +150,7 @@ TEST_P(HttpServerTest, EofDelimitedResponseBody) {
   EXPECT_EQ(res.value().body, "to-the-end");
 }
 
-TEST_P(HttpServerTest, ConcurrentClients) {
+TEST_F(HttpServerTest, ConcurrentClients) {
   constexpr int kThreads = 8;
   constexpr int kPerThread = 20;
   std::atomic<int> successes{0};
@@ -180,7 +173,7 @@ TEST_P(HttpServerTest, ConcurrentClients) {
             static_cast<std::uint64_t>(kThreads * kPerThread));
 }
 
-TEST_P(HttpServerTest, LargeBodyRoundTrip) {
+TEST_F(HttpServerTest, LargeBodyRoundTrip) {
   const std::string big(512 * 1024, 'x');
   auto res = client_.post(
       "http://127.0.0.1:" + std::to_string(server_->port()) + "/echo", big,
@@ -189,7 +182,7 @@ TEST_P(HttpServerTest, LargeBodyRoundTrip) {
   EXPECT_EQ(res.value().body.size(), big.size());
 }
 
-TEST_P(HttpServerTest, StaleConnectionRetriedAfterServerRestart) {
+TEST_F(HttpServerTest, StaleConnectionRetriedAfterServerRestart) {
   const std::string url =
       "http://127.0.0.1:" + std::to_string(server_->port()) + "/echo";
   ASSERT_TRUE(client_.post(url, "a", "text/plain").ok());
@@ -199,7 +192,7 @@ TEST_P(HttpServerTest, StaleConnectionRetriedAfterServerRestart) {
   EXPECT_TRUE(res.ok());
 }
 
-TEST_P(HttpServerTest, PipelinedRequestsAllServed) {
+TEST_F(HttpServerTest, PipelinedRequestsAllServed) {
   auto stream = net::TcpStream::connect("127.0.0.1", server_->port());
   ASSERT_TRUE(stream.ok());
   Request first;
@@ -221,7 +214,7 @@ TEST_P(HttpServerTest, PipelinedRequestsAllServed) {
   EXPECT_EQ(r2.value().body, "two");
 }
 
-TEST_P(HttpServerTest, OversizedHeaderRejected) {
+TEST_F(HttpServerTest, OversizedHeaderRejected) {
   auto stream = net::TcpStream::connect("127.0.0.1", server_->port());
   ASSERT_TRUE(stream.ok());
   std::string head = "GET /echo HTTP/1.1\r\nX-Big: ";
@@ -234,7 +227,7 @@ TEST_P(HttpServerTest, OversizedHeaderRejected) {
   EXPECT_EQ(res.value().status, 400);
 }
 
-TEST_P(HttpServerTest, TornRequestBoundaries) {
+TEST_F(HttpServerTest, TornRequestBoundaries) {
   // Deliver one request in tiny fragments with pauses: head torn inside
   // the request line, inside a header, mid-CRLF-CRLF, and body split.
   auto stream = net::TcpStream::connect("127.0.0.1", server_->port());
@@ -252,7 +245,7 @@ TEST_P(HttpServerTest, TornRequestBoundaries) {
   EXPECT_EQ(res.value().body, "torn-body");
 }
 
-TEST_P(HttpServerTest, TornChunkedBodyReassembled) {
+TEST_F(HttpServerTest, TornChunkedBodyReassembled) {
   auto stream = net::TcpStream::connect("127.0.0.1", server_->port());
   ASSERT_TRUE(stream.ok());
   const std::string wire =
@@ -268,12 +261,8 @@ TEST_P(HttpServerTest, TornChunkedBodyReassembled) {
   EXPECT_EQ(res.value().body, "Wikipedia");
 }
 
-class HttpServerIdleTest
-    : public testing::TestWithParam<HttpServer::Backend> {};
-
-TEST_P(HttpServerIdleTest, IdleConnectionsSwept) {
+TEST(HttpServerIdleTest, IdleConnectionsSwept) {
   HttpServer::Options options;
-  options.backend = GetParam();
   options.idle_timeout = 200ms;
   HttpServer server(options,
                     [](const Request&) { return Response::text(200, "ok"); });
@@ -284,8 +273,7 @@ TEST_P(HttpServerIdleTest, IdleConnectionsSwept) {
                        "/x")
                   .ok());
   EXPECT_EQ(server.open_connections(), 1u);
-  // The idle sweep (500 ms dispatcher poll / 250 ms reactor tick)
-  // closes the idle conn.
+  // The reactor's idle sweep (250 ms tick) closes the idle conn.
   for (int i = 0; i < 40 && server.open_connections() > 0; ++i) {
     std::this_thread::sleep_for(50ms);
   }
@@ -293,11 +281,10 @@ TEST_P(HttpServerIdleTest, IdleConnectionsSwept) {
   server.stop();
 }
 
-TEST_P(HttpServerIdleTest, IdleTimeoutClosesMidKeepAlive) {
+TEST(HttpServerIdleTest, IdleTimeoutClosesMidKeepAlive) {
   // A keep-alive connection that served a request and then goes quiet is
   // closed by the server; the raw client observes EOF, not a response.
   HttpServer::Options options;
-  options.backend = GetParam();
   options.idle_timeout = 200ms;
   HttpServer server(options,
                     [](const Request&) { return Response::text(200, "ok"); });
@@ -316,15 +303,6 @@ TEST_P(HttpServerIdleTest, IdleTimeoutClosesMidKeepAlive) {
   EXPECT_FALSE(eof.ok());
   server.stop();
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, HttpServerTest,
-                         testing::Values(HttpServer::Backend::kReactor,
-                                         HttpServer::Backend::kThreads),
-                         backend_name);
-INSTANTIATE_TEST_SUITE_P(Backends, HttpServerIdleTest,
-                         testing::Values(HttpServer::Backend::kReactor,
-                                         HttpServer::Backend::kThreads),
-                         backend_name);
 
 TEST(HttpClientPool, DeadPooledConnectionDetectedAfterServerRestart) {
   // Warm the pool, kill the server, restart it on the same port: the

@@ -265,8 +265,8 @@ TEST(ProxySplitProperty, RandomSplitsConverge) {
     std::vector<int> hits(static_cast<size_t>(n_backends), 0);
     constexpr int kTrials = 30000;
     for (int i = 0; i < kTrials; ++i) {
-      ++hits[proxy::BifrostProxy::decide_backend(config, request, "", {},
-                                                 rng)];
+      ++hits[proxy::BifrostProxy::decide_backend(config, request,
+                                                 std::nullopt, rng)];
     }
     for (int i = 0; i < n_backends; ++i) {
       const double expected =

@@ -96,7 +96,7 @@ TEST(DecideBackend, SingleBackendShortCircuit) {
   config.backends = {BackendTarget{"only", "h", 1, 100.0, "", ""}};
   http::Request req;
   util::Rng rng(1);
-  EXPECT_EQ(BifrostProxy::decide_backend(config, req, "", {}, rng), 0u);
+  EXPECT_EQ(BifrostProxy::decide_backend(config, req, std::nullopt, rng), 0u);
 }
 
 TEST(DecideBackend, PercentageSplitConverges) {
@@ -106,7 +106,9 @@ TEST(DecideBackend, PercentageSplitConverges) {
   int stable = 0;
   constexpr int kTrials = 20000;
   for (int i = 0; i < kTrials; ++i) {
-    if (BifrostProxy::decide_backend(config, req, "", {}, rng) == 0) ++stable;
+    if (BifrostProxy::decide_backend(config, req, std::nullopt, rng) == 0) {
+      ++stable;
+    }
   }
   EXPECT_NEAR(stable / static_cast<double>(kTrials), 0.8, 0.02);
 }
@@ -116,7 +118,7 @@ TEST(DecideBackend, ZeroPercentNeverChosen) {
   http::Request req;
   util::Rng rng(7);
   for (int i = 0; i < 1000; ++i) {
-    EXPECT_EQ(BifrostProxy::decide_backend(config, req, "", {}, rng), 0u);
+    EXPECT_EQ(BifrostProxy::decide_backend(config, req, std::nullopt, rng), 0u);
   }
 }
 
@@ -125,11 +127,8 @@ TEST(DecideBackend, StickyHitOverridesRandom) {
   config.sticky = true;
   http::Request req;
   util::Rng rng(1);
-  const std::unordered_map<std::string, std::string> sticky{
-      {"session-1", "canary"}};
-  EXPECT_EQ(
-      BifrostProxy::decide_backend(config, req, "session-1", sticky, rng),
-      1u);
+  const std::optional<std::string> pinned = "canary";
+  EXPECT_EQ(BifrostProxy::decide_backend(config, req, pinned, rng), 1u);
 }
 
 TEST(DecideBackend, StickyMissFallsThrough) {
@@ -138,11 +137,8 @@ TEST(DecideBackend, StickyMissFallsThrough) {
   http::Request req;
   util::Rng rng(1);
   // Assigned version no longer among backends -> fresh decision.
-  const std::unordered_map<std::string, std::string> sticky{
-      {"session-1", "retired-version"}};
-  EXPECT_EQ(
-      BifrostProxy::decide_backend(config, req, "session-1", sticky, rng),
-      0u);
+  const std::optional<std::string> pinned = "retired-version";
+  EXPECT_EQ(BifrostProxy::decide_backend(config, req, pinned, rng), 0u);
 }
 
 TEST(DecideBackend, HeaderMatchSelectsBackend) {
@@ -156,11 +152,12 @@ TEST(DecideBackend, HeaderMatchSelectsBackend) {
   util::Rng rng(1);
   http::Request req;
   req.headers.set("X-Group", "B");
-  EXPECT_EQ(BifrostProxy::decide_backend(config, req, "", {}, rng), 1u);
+  EXPECT_EQ(BifrostProxy::decide_backend(config, req, std::nullopt, rng), 1u);
   req.headers.set("X-Group", "C");
-  EXPECT_EQ(BifrostProxy::decide_backend(config, req, "", {}, rng), 0u);
+  EXPECT_EQ(BifrostProxy::decide_backend(config, req, std::nullopt, rng), 0u);
   http::Request no_header;
-  EXPECT_EQ(BifrostProxy::decide_backend(config, no_header, "", {}, rng), 0u);
+  EXPECT_EQ(BifrostProxy::decide_backend(config, no_header, std::nullopt, rng),
+            0u);
 }
 
 TEST(DecideBackend, ExperimentFilterScopesPopulation) {
@@ -176,17 +173,20 @@ TEST(DecideBackend, ExperimentFilterScopesPopulation) {
   http::Request non_us;
   non_us.headers.set("X-Country", "CH");
   for (int i = 0; i < 200; ++i) {
-    EXPECT_EQ(BifrostProxy::decide_backend(config, non_us, "", {}, rng), 0u);
+    EXPECT_EQ(BifrostProxy::decide_backend(config, non_us, std::nullopt, rng),
+              0u);
   }
   http::Request no_header;
-  EXPECT_EQ(BifrostProxy::decide_backend(config, no_header, "", {}, rng), 0u);
+  EXPECT_EQ(BifrostProxy::decide_backend(config, no_header, std::nullopt, rng),
+            0u);
 
   http::Request us;
   us.headers.set("X-Country", "US");
   int canary = 0;
   for (int i = 0; i < 2000; ++i) {
-    canary +=
-        BifrostProxy::decide_backend(config, us, "", {}, rng) == 1 ? 1 : 0;
+    if (BifrostProxy::decide_backend(config, us, std::nullopt, rng) == 1) {
+      ++canary;
+    }
   }
   EXPECT_NEAR(canary / 2000.0, 0.5, 0.05);
 }
