@@ -293,7 +293,7 @@ struct MetricCondition {
   /// the regions of `region_service` and the validator sees the
   /// aggregate (or, for kDelta, canary minus fleet mean).
   RegionAggregate aggregate = RegionAggregate::kNone;
-  std::string region_service;  ///< federated service whose regions fan out
+  std::string region_service{};  ///< federated service whose regions fan out
 };
 
 /// Access to monitoring data Omega during a check execution. The real

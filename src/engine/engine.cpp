@@ -30,7 +30,6 @@ Engine::~Engine() = default;
 StrategyExecution::Options Engine::execution_options() {
   StrategyExecution::Options options;
   options.check_executor = options_.check_executor;
-  options.fleet_executor = options_.fleet_executor;
   if (options_.journal != nullptr) {
     options.durability = this;
     options.epoch_allocator = [this](const std::string& service) {

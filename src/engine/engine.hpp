@@ -57,14 +57,12 @@ class Engine : private DurabilitySink {
     /// Parallel check scheduler (not owned; must outlive the engine):
     /// check evaluations of every execution run as jobs on this
     /// executor — typically a runtime::WorkStealingPool — instead of
-    /// inline on the scheduler thread. The MetricsClient must be
-    /// thread-safe when set. Null = inline evaluation (paper behavior).
+    /// inline on the scheduler thread. It also carries the region
+    /// applies of multi-region pushes, which then run concurrently
+    /// (engine/fleet.hpp). So the MetricsClient and
+    /// ProxyController::apply_region must be thread-safe when set.
+    /// Null = inline evaluation and sequential pushes (paper behavior).
     runtime::Executor* check_executor = nullptr;
-    /// Parallel fan-out for multi-region config pushes (not owned; must
-    /// outlive the engine). Must be a real thread pool, never a
-    /// simulated executor — see engine/fleet.hpp. Null = sequential
-    /// canary-order fan-out (the deterministic arm).
-    runtime::Executor* fleet_executor = nullptr;
   };
 
   Engine(runtime::Scheduler& scheduler, MetricsClient& metrics,

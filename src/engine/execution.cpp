@@ -83,9 +83,7 @@ StrategyExecution::StrategyExecution(std::string id,
       def_(std::move(def)),
       listener_(std::move(listener)),
       options_(std::move(options)),
-      fleet_(proxies) {
-  fleet_.set_executor(options_.fleet_executor);
-}
+      fleet_(proxies, options_.check_executor) {}
 
 StrategyExecution::~StrategyExecution() {
   // Quiesce off-thread check evaluations first: the exclusive lock

@@ -13,6 +13,9 @@
 // via a posted timer, so CheckRuntime aggregates, checks_executed_, the
 // journal, and the status stream are still touched single-threaded and
 // records stay in a deterministic order under deterministic schedulers.
+// The same executor runs the region applies of a fleet push
+// concurrently; the push itself still joins them on the scheduler
+// thread and journals their acks in canary order (engine/fleet.hpp).
 //
 // Durability: when Options::durability is set, every externally visible
 // transition is journaled through it *at the moment it happens*, and a
@@ -134,17 +137,13 @@ class StrategyExecution {
     /// Allocates the config epoch for an apply intent against a
     /// service's proxy. Null means unversioned applies (epoch 0).
     std::function<std::uint64_t(const std::string& service)> epoch_allocator;
-    /// Runs check evaluations (metric fetches + condition checks) as
+    /// Runs check evaluations (metric fetches + condition checks) and
+    /// the per-region applies of a fleet push (engine/fleet.hpp) as
     /// jobs instead of inline on the scheduler thread. Not owned; must
-    /// outlive the execution. The MetricsClient must be thread-safe
-    /// when this is set (jobs may query it concurrently). Null = the
-    /// classic inline, run-to-completion engine.
+    /// outlive the execution. The MetricsClient and
+    /// ProxyController::apply_region must be thread-safe when this is
+    /// set. Null = the classic inline, run-to-completion engine.
     runtime::Executor* check_executor = nullptr;
-    /// Fans multi-region config pushes out in parallel instead of
-    /// sequentially in canary order. Must be a real thread pool (never
-    /// a simulated executor — Fleet::push joins futures; see
-    /// engine/fleet.hpp). Null = sequential, the deterministic arm.
-    runtime::Executor* fleet_executor = nullptr;
   };
 
   /// `def` must already pass core::validate(). The listener receives

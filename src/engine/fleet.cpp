@@ -1,16 +1,27 @@
 #include "engine/fleet.hpp"
 
 #include <algorithm>
-#include <future>
+#include <atomic>
+#include <memory>
 
 namespace bifrost::engine {
+namespace {
+
+/// One region apply offered to the executor. Whoever claims it first —
+/// a worker, or the pushing thread walking canary order — runs it, so
+/// the pushing thread only ever waits on an apply that already started.
+struct Offer {
+  std::atomic<bool> claimed{false};
+  std::atomic<bool> done{false};
+  util::Result<void> applied;
+};
+
+}  // namespace
 
 std::string Fleet::PushResult::failed_regions() const {
   std::string out;
   for (const RegionOutcome& outcome : outcomes) {
-    if (outcome.ok) continue;
-    if (!out.empty()) out += ",";
-    out += outcome.region->name;
+    if (!outcome.ok) out += (out.empty() ? "" : ",") + outcome.region->name;
   }
   return out;
 }
@@ -38,65 +49,54 @@ Fleet::PushResult Fleet::push(const core::ServiceDef& service,
   PushResult result;
   const std::vector<const core::RegionDef*> regions = targets(service, scope);
   result.required = required_acks(service, regions.size());
-  result.outcomes.reserve(regions.size());
 
   // Seed the outcome list in canary order; journaled verdicts (resume
   // re-entering a half-pushed state) short-circuit their region.
   std::vector<std::size_t> fresh;
   for (const core::RegionDef* region : regions) {
-    RegionOutcome outcome;
+    RegionOutcome& outcome = result.outcomes.emplace_back();
     outcome.region = region;
-    if (skip) {
-      if (const std::optional<bool> verdict = skip(region->name)) {
-        outcome.skipped = true;
-        outcome.ok = *verdict;
-        if (!outcome.ok) outcome.error = "journaled failure";
-        result.outcomes.push_back(std::move(outcome));
-        continue;
-      }
-    }
-    fresh.push_back(result.outcomes.size());
-    result.outcomes.push_back(std::move(outcome));
+    const auto verdict = skip ? skip(region->name) : std::optional<bool>();
+    if (!verdict) fresh.push_back(result.outcomes.size() - 1);
+    outcome.skipped = verdict.has_value();
+    outcome.ok = verdict.value_or(false);
+    if (outcome.skipped && !outcome.ok) outcome.error = "journaled failure";
+    if (outcome.ok) ++result.acked;
   }
 
-  if (executor_ != nullptr && fresh.size() > 1) {
-    // Parallel fan-out: one job per region, joined in canary order so
-    // the observable outcome sequence matches the sequential arm.
-    std::vector<std::future<util::Result<void>>> futures;
-    futures.reserve(fresh.size());
-    for (std::size_t index : fresh) {
-      auto promise = std::make_shared<std::promise<util::Result<void>>>();
-      futures.push_back(promise->get_future());
-      const core::RegionDef* region = result.outcomes[index].region;
-      const bool accepted = executor_->submit([this, &service, region, &config,
-                                               promise] {
-        promise->set_value(proxies_.apply_region(service, *region, config));
-      });
-      if (!accepted) {
-        // Executor shutting down: run inline rather than losing the push.
-        promise->set_value(proxies_.apply_region(service, *region, config));
-      }
-    }
+  // Offer every fresh region but the canary-first one to the executor.
+  // The caller applies that one itself, then walks the rest in canary
+  // order, running any offer no worker has started (claim-or-run).
+  std::vector<std::shared_ptr<Offer>> offers(fresh.size());
+  for (std::size_t i = 1; executor_ != nullptr && i < fresh.size(); ++i) {
+    const core::RegionDef* region = result.outcomes[fresh[i]].region;
+    executor_->submit([this, &service, &config, region,
+                       offer = offers[i] = std::make_shared<Offer>()] {
+      if (offer->claimed.exchange(true)) return;
+      offer->applied = proxies_.apply_region(service, *region, config);
+      offer->done.store(true);
+      offer->done.notify_one();
+    });
+  }
+  try {
     for (std::size_t i = 0; i < fresh.size(); ++i) {
       RegionOutcome& outcome = result.outcomes[fresh[i]];
-      const util::Result<void> applied = futures[i].get();
-      outcome.ok = applied.ok();
-      if (!applied.ok()) outcome.error = applied.error_message();
-      if (on_ack) on_ack(outcome);
-    }
-  } else {
-    for (std::size_t index : fresh) {
-      RegionOutcome& outcome = result.outcomes[index];
+      const std::shared_ptr<Offer> offer = std::move(offers[i]);
+      const bool started = offer != nullptr && offer->claimed.exchange(true);
+      if (started) offer->done.wait(false);
       const util::Result<void> applied =
-          proxies_.apply_region(service, *outcome.region, config);
+          started ? std::move(offer->applied)
+                  : proxies_.apply_region(service, *outcome.region, config);
       outcome.ok = applied.ok();
-      if (!applied.ok()) outcome.error = applied.error_message();
+      outcome.error = applied.error_message();
       if (on_ack) on_ack(outcome);
+      if (outcome.ok) ++result.acked;
     }
-  }
-
-  for (const RegionOutcome& outcome : result.outcomes) {
-    if (outcome.ok) ++result.acked;
+  } catch (...) {  // no offer may run late or outlive service and config
+    for (const auto& offer : offers) {
+      if (offer && offer->claimed.exchange(true)) offer->done.wait(false);
+    }
+    throw;
   }
   return result;
 }

@@ -8,14 +8,20 @@
 // push are `region_degraded` until a later push or an engine
 // reconcile/resync converges them back to the fleet epoch.
 //
-// Determinism: without an executor the fan-out is sequential in canary
-// order. With an executor the per-region applies run as parallel jobs,
-// but outcomes are joined and reported strictly in canary order, so
-// journaled records and emitted events are identical either way — only
-// wall-clock differs. Do NOT pass a simulated executor here: push()
-// blocks on the joined futures, which would deadlock a virtual-time
-// worker lane (the sim exercises the sequential arm, which is also the
-// byte-identical-replay arm).
+// Concurrency and determinism: without an executor the fan-out is
+// sequential in canary order. With one (the engine's check executor),
+// every fresh region but the canary-first one is offered to it as a
+// job; the pushing thread applies the canary-first region itself, then
+// walks the rest in canary order, applying inline any job no worker has
+// started yet (one atomic claim per job) and waiting only for jobs a
+// worker already runs. That claim-or-run join never waits on a job
+// nobody runs, so it cannot deadlock on a saturated pool, when the
+// caller is itself a pool worker, or on a simulated executor: its
+// worker lanes start jobs only after the pushing callback returns, so
+// the push is sequential there (each claimed offer still costs its lane
+// one no-op dispatch). Outcomes and on_ack still come on the pushing
+// thread, strictly in canary order, so journaled records and emitted
+// events are identical either way — only their timestamps can differ.
 #pragma once
 
 #include <functional>
@@ -58,11 +64,10 @@ class Fleet {
   /// captures every region boundary a crash can land between.
   using AckFn = std::function<void(const RegionOutcome&)>;
 
-  explicit Fleet(ProxyController& proxies) : proxies_(proxies) {}
-
-  /// Optional parallel fan-out. Must be a real thread pool (see file
-  /// comment); null keeps the sequential deterministic arm.
-  void set_executor(runtime::Executor* executor) { executor_ = executor; }
+  /// `executor` (not owned; null = sequential) runs region applies
+  /// concurrently, so `proxies.apply_region` must then be thread-safe.
+  Fleet(ProxyController& proxies, runtime::Executor* executor)
+      : proxies_(proxies), executor_(executor) {}
 
   /// The regions a push scoped to `scope` targets, in canary order.
   /// An empty scope targets the whole fleet.
@@ -83,7 +88,7 @@ class Fleet {
 
  private:
   ProxyController& proxies_;
-  runtime::Executor* executor_ = nullptr;
+  runtime::Executor* executor_;
 };
 
 }  // namespace bifrost::engine

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <mutex>
 #include <thread>
 
 namespace bifrost::engine {
@@ -16,11 +17,15 @@ double to_seconds(runtime::Duration d) {
   return std::chrono::duration<double>(d).count();
 }
 
-/// Shared per-call state of the two decorators.
+/// Shared per-call state of the two decorators. `mutex` guards `rng`,
+/// `breakers` (and every breaker in it) and `attempts`; it is never held
+/// across the inner call, the sleep or the listener, so concurrent
+/// calls (parallel checks, concurrent region pushes) overlap.
 struct CallContext {
   runtime::Scheduler& clock;
   const SleepFn& sleep;
   const StatusListener& listener;
+  std::mutex& mutex;
   util::Rng& rng;
   std::map<std::string, std::unique_ptr<CircuitBreaker>>& breakers;
   std::uint64_t& attempts;
@@ -47,6 +52,7 @@ ResultT run_with_policy(const CallContext& ctx, const std::string& key,
                         AttemptFn&& attempt_fn, MakeErrorFn&& make_error) {
   CircuitBreaker* breaker = nullptr;
   if (breaker_policy.enabled) {
+    const std::lock_guard<std::mutex> lock(ctx.mutex);
     auto& slot = ctx.breakers[key];
     if (!slot) slot = std::make_unique<CircuitBreaker>(breaker_policy);
     breaker = slot.get();
@@ -56,12 +62,17 @@ ResultT run_with_policy(const CallContext& ctx, const std::string& key,
   ResultT result = make_error("no attempt made");
   for (int attempt = 1; attempt <= max_attempts; ++attempt) {
     const runtime::Time started = ctx.clock.now();
-    if (breaker != nullptr && !breaker->allow(started)) {
+    const bool allowed = [&] {
+      const std::lock_guard<std::mutex> lock(ctx.mutex);
+      if (breaker != nullptr && !breaker->allow(started)) return false;
+      ++ctx.attempts;
+      return true;
+    }();
+    if (!allowed) {
       // Fail fast without touching the dependency; a later attempt (or
       // call) may find the breaker half-open once open_duration elapsed.
       result = make_error("circuit open for '" + key + "'");
     } else {
-      ++ctx.attempts;
       result = attempt_fn();
       const runtime::Duration elapsed = ctx.clock.now() - started;
       if (result.ok() && retry.attempt_timeout > runtime::Duration::zero() &&
@@ -73,13 +84,18 @@ ResultT run_with_policy(const CallContext& ctx, const std::string& key,
                             "s timeout");
       }
       if (breaker != nullptr) {
-        const CircuitBreaker::Transition transition =
-            result.ok() ? breaker->record_success()
-                        : breaker->record_failure(ctx.clock.now());
+        auto transition = CircuitBreaker::Transition::kNone;
+        runtime::Time open_until{0};
+        {
+          const std::lock_guard<std::mutex> lock(ctx.mutex);
+          transition = result.ok() ? breaker->record_success()
+                                   : breaker->record_failure(ctx.clock.now());
+          open_until = breaker->open_until();
+        }
         if (transition == CircuitBreaker::Transition::kOpened) {
           emit(ctx, StatusEvent::Type::kCircuitOpened, key, 0.0,
                "breaker open until t=" +
-                   std::to_string(to_seconds(breaker->open_until())) + "s");
+                   std::to_string(to_seconds(open_until)) + "s");
         } else if (transition == CircuitBreaker::Transition::kClosed) {
           emit(ctx, StatusEvent::Type::kCircuitClosed, key, 0.0, "recovered");
         }
@@ -88,7 +104,11 @@ ResultT run_with_policy(const CallContext& ctx, const std::string& key,
     if (result.ok() || attempt == max_attempts) break;
     emit(ctx, StatusEvent::Type::kRetried, key, static_cast<double>(attempt),
          result.error_message());
-    if (ctx.sleep) ctx.sleep(backoff_delay(retry, attempt, ctx.rng));
+    const runtime::Duration delay = [&] {
+      const std::lock_guard<std::mutex> lock(ctx.mutex);
+      return backoff_delay(retry, attempt, ctx.rng);
+    }();
+    if (ctx.sleep) ctx.sleep(delay);
   }
   return result;
 }
@@ -98,8 +118,10 @@ std::string provider_key(const core::ProviderConfig& provider) {
 }
 
 const CircuitBreaker* find_breaker(
+    std::mutex& mutex,
     const std::map<std::string, std::unique_ptr<CircuitBreaker>>& breakers,
     const std::string& key) {
+  const std::lock_guard<std::mutex> lock(mutex);
   const auto it = breakers.find(key);
   return it != breakers.end() ? it->second.get() : nullptr;
 }
@@ -177,7 +199,8 @@ ResilientMetricsClient::ResilientMetricsClient(MetricsClient& inner,
 util::Result<std::optional<double>> ResilientMetricsClient::query(
     const core::ProviderConfig& provider, const std::string& query) {
   using R = util::Result<std::optional<double>>;
-  const CallContext ctx{clock_, sleep_, listener_, rng_, breakers_, attempts_};
+  const CallContext ctx{clock_, sleep_,    listener_, mutex_,
+                        rng_,   breakers_, attempts_};
   return run_with_policy<R>(
       ctx, provider_key(provider), provider.retry, provider.circuit_breaker,
       [&] { return inner_.query(provider, query); },
@@ -186,7 +209,7 @@ util::Result<std::optional<double>> ResilientMetricsClient::query(
 
 const CircuitBreaker* ResilientMetricsClient::breaker(
     const std::string& key) const {
-  return find_breaker(breakers_, key);
+  return find_breaker(mutex_, breakers_, key);
 }
 
 ResilientProxyController::ResilientProxyController(ProxyController& inner,
@@ -199,7 +222,8 @@ ResilientProxyController::ResilientProxyController(ProxyController& inner,
 util::Result<void> ResilientProxyController::apply(
     const core::ServiceDef& service, const proxy::ProxyConfig& config) {
   using R = util::Result<void>;
-  const CallContext ctx{clock_, sleep_, listener_, rng_, breakers_, attempts_};
+  const CallContext ctx{clock_, sleep_,    listener_, mutex_,
+                        rng_,   breakers_, attempts_};
   return run_with_policy<R>(
       ctx, service.name, service.retry, service.circuit_breaker,
       [&] { return inner_.apply(service, config); },
@@ -210,7 +234,8 @@ util::Result<void> ResilientProxyController::apply_region(
     const core::ServiceDef& service, const core::RegionDef& region,
     const proxy::ProxyConfig& config) {
   using R = util::Result<void>;
-  const CallContext ctx{clock_, sleep_, listener_, rng_, breakers_, attempts_};
+  const CallContext ctx{clock_, sleep_,    listener_, mutex_,
+                        rng_,   breakers_, attempts_};
   return run_with_policy<R>(
       ctx, service.name + "/" + region.name, service.retry,
       service.circuit_breaker,
@@ -220,7 +245,7 @@ util::Result<void> ResilientProxyController::apply_region(
 
 const CircuitBreaker* ResilientProxyController::breaker(
     const std::string& key) const {
-  return find_breaker(breakers_, key);
+  return find_breaker(mutex_, breakers_, key);
 }
 
 }  // namespace bifrost::engine

@@ -11,6 +11,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "core/model.hpp"
@@ -72,7 +73,9 @@ class CircuitBreaker {
 /// circuit breaker. Emits kRetried / kCircuitOpened / kCircuitClosed
 /// status events (strategy_id empty, `check` holds the target key) via
 /// the listener — wire it to Engine::log_event so operators see
-/// degradation on the dashboard and CLI event stream.
+/// degradation on the dashboard and CLI event stream. Thread-safe when
+/// the inner client is (parallel check jobs query it concurrently); the
+/// listener is then called from those threads too.
 class ResilientMetricsClient final : public MetricsClient {
  public:
   ResilientMetricsClient(MetricsClient& inner, runtime::Scheduler& clock,
@@ -86,7 +89,10 @@ class ResilientMetricsClient final : public MetricsClient {
       const core::ProviderConfig& provider, const std::string& query) override;
 
   /// Inner calls actually issued (for attempt accounting in tests).
-  [[nodiscard]] std::uint64_t attempts() const { return attempts_; }
+  [[nodiscard]] std::uint64_t attempts() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return attempts_;
+  }
 
   /// Breaker for a target key, if one was ever created.
   [[nodiscard]] const CircuitBreaker* breaker(const std::string& key) const;
@@ -96,12 +102,15 @@ class ResilientMetricsClient final : public MetricsClient {
   runtime::Scheduler& clock_;
   SleepFn sleep_;
   StatusListener listener_;
+  mutable std::mutex mutex_;  ///< guards rng_, breakers_ and attempts_
   util::Rng rng_;
   std::map<std::string, std::unique_ptr<CircuitBreaker>> breakers_;
   std::uint64_t attempts_ = 0;
 };
 
 /// ProxyController decorator; the ServiceDef's policies apply.
+/// Thread-safe when the inner controller is: a fleet push on an engine
+/// with a check executor applies its regions concurrently.
 class ResilientProxyController final : public ProxyController {
  public:
   ResilientProxyController(ProxyController& inner, runtime::Scheduler& clock,
@@ -132,7 +141,10 @@ class ResilientProxyController final : public ProxyController {
     return inner_.fetch_region(service, region);
   }
 
-  [[nodiscard]] std::uint64_t attempts() const { return attempts_; }
+  [[nodiscard]] std::uint64_t attempts() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return attempts_;
+  }
   [[nodiscard]] const CircuitBreaker* breaker(const std::string& key) const;
 
  private:
@@ -140,6 +152,7 @@ class ResilientProxyController final : public ProxyController {
   runtime::Scheduler& clock_;
   SleepFn sleep_;
   StatusListener listener_;
+  mutable std::mutex mutex_;  ///< guards rng_, breakers_ and attempts_
   util::Rng rng_;
   std::map<std::string, std::unique_ptr<CircuitBreaker>> breakers_;
   std::uint64_t attempts_ = 0;

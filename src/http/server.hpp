@@ -40,12 +40,17 @@ class HttpServer {
     /// connection capacity does not depend on it.
     std::size_t reactor_workers = 2;
     /// Run handlers inline on the reactor thread instead of the pool,
-    /// saving the handoff to a pool worker and the marshal-back. The
-    /// handler must be CPU-bound and finish in microseconds, do no I/O,
-    /// and wait on nothing but short mutexes: while it runs, every other
-    /// connection owned by that reactor worker waits.
-    /// metrics::MetricsServer (parse, evaluate under the store lock,
-    /// dump) runs this way.
+    /// saving the handoff to a pool worker and the marshal-back; no
+    /// pool is started. The handler must be CPU-bound and finish in
+    /// microseconds, do no I/O, and wait on nothing but short mutexes:
+    /// while it runs, every other connection owned by that reactor
+    /// worker waits. Two servers run this way:
+    /// - metrics::MetricsServer (parse, evaluate under the store lock,
+    ///   dump);
+    /// - the proxy admin plane (health, config, stats, events, eject/
+    ///   recover, sessions, /metrics). Its one allowance is the
+    ///   optional epoch-file write-then-rename on a config PUT: one
+    ///   short line, not fsynced.
     bool inline_handlers = false;
     /// Idle keep-alive connections are closed after this long.
     std::chrono::milliseconds idle_timeout{60000};

@@ -84,9 +84,11 @@ BifrostProxy::BifrostProxy(Options options, ProxyConfig initial)
       data_options,
       [this](const http::Request& req) { return handle_data(req); });
 
+  // Every admin route is CPU-bound and answers in microseconds, so it
+  // runs on the reactor thread (see HttpServer::Options::inline_handlers).
   http::HttpServer::Options admin_options;
   admin_options.port = options_.admin_port;
-  admin_options.worker_threads = 2;
+  admin_options.inline_handlers = true;
   admin_server_ = std::make_unique<http::HttpServer>(
       admin_options,
       [this](const http::Request& req) { return handle_admin(req); });

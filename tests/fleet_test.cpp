@@ -12,16 +12,20 @@
 // Plus: the crash matrix at every journal record boundary AND every
 // per-region proxy apply (the engine dying between two region acks of
 // one fleet push), cross-region aggregation (max / delta) driving
-// success and rollback paths, DSL parsing of the regions block, and
-// the Graphviz golden file for the region-scoped automaton.
+// success and rollback paths, DSL parsing of the regions block, the
+// Graphviz golden file for the region-scoped automaton, and the
+// concurrent fan-out of a push on an executor (claim-or-run join).
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -32,6 +36,8 @@
 #include "engine/http_clients.hpp"
 #include "engine/journal.hpp"
 #include "proxy/proxy.hpp"
+#include "runtime/manual_clock.hpp"
+#include "runtime/work_stealing_pool.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/sim_env.hpp"
 #include "sim/simulation.hpp"
@@ -811,6 +817,297 @@ TEST(FleetDot, GoldenFile) {
   EXPECT_EQ(rendered, golden.str())
       << "dot output drifted from " << golden_path
       << " — regenerate with: bifrost dot examples/strategies/fleet_ramp.yaml";
+}
+
+// ---------------------------------------------------------------------------
+// Concurrent fan-out: with an executor, every fresh region but the
+// canary-first one is offered to it as a job, and the pushing thread
+// joins them in canary order (claim-or-run).
+
+/// Thread-safe region controller: every region apply waits `delay` (the
+/// admin round trip), records which region ran on which thread, and
+/// fails for the regions in `failing`.
+class SlowRegions final : public engine::ProxyController {
+ public:
+  explicit SlowRegions(std::chrono::milliseconds delay,
+                       std::set<std::string> failing = {})
+      : delay_(delay), failing_(std::move(failing)) {}
+
+  util::Result<void> apply(const core::ServiceDef& /*service*/,
+                           const proxy::ProxyConfig& /*config*/) override {
+    return {};
+  }
+  util::Result<void> apply_region(
+      const core::ServiceDef& /*service*/, const core::RegionDef& region,
+      const proxy::ProxyConfig& /*config*/) override {
+    std::this_thread::sleep_for(delay_);
+    const std::lock_guard<std::mutex> lock(mutex_);
+    applied_.emplace_back(region.name, std::this_thread::get_id());
+    if (failing_.count(region.name) != 0) {
+      return util::Result<void>::error("region '" + region.name +
+                                       "' unreachable");
+    }
+    return {};
+  }
+
+  std::vector<std::pair<std::string, std::thread::id>> applied() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return applied_;
+  }
+
+ private:
+  const std::chrono::milliseconds delay_;
+  const std::set<std::string> failing_;
+  mutable std::mutex mutex_;
+  std::vector<std::pair<std::string, std::thread::id>> applied_;
+};
+
+/// Holds every submitted job and never starts one until told to.
+class HoardingExecutor final : public runtime::Executor {
+ public:
+  bool submit(Job job) override {
+    jobs_.push_back(std::move(job));
+    return true;
+  }
+  std::size_t run_all() {
+    std::vector<Job> jobs = std::move(jobs_);
+    for (Job& job : jobs) job();
+    return jobs.size();
+  }
+
+ private:
+  std::vector<Job> jobs_;
+};
+
+proxy::ProxyConfig search_config() {
+  proxy::ProxyConfig config;
+  config.service = "search";
+  config.backends = {
+      proxy::BackendTarget{"fast", "127.0.0.1", 8002, 100.0, "", ""}};
+  return config;
+}
+
+/// One fleet push: "region ok|error" per on_ack call, in call order.
+struct PushRecord {
+  std::vector<std::string> acks;
+  engine::Fleet::PushResult result;
+};
+
+PushRecord push_fleet(engine::ProxyController& proxies,
+                      runtime::Executor* executor,
+                      const core::ServiceDef& service,
+                      const std::vector<std::string>& scope = {}) {
+  PushRecord record;
+  const engine::Fleet::AckFn on_ack =
+      [&record](const engine::Fleet::RegionOutcome& outcome) {
+        record.acks.push_back(outcome.region->name + " " +
+                              (outcome.ok ? "ok" : outcome.error));
+      };
+  engine::Fleet fleet(proxies, executor);
+  record.result = fleet.push(service, search_config(), scope, nullptr, on_ack);
+  return record;
+}
+
+std::vector<std::string> healthy_acks() {
+  return {"eu-west ok", "us-east ok", "ap-south ok"};
+}
+
+TEST(FleetFanOut, ThreeRegionPushCostsAboutOneRoundTrip) {
+  const core::StrategyDef def = load_fleet_ramp();
+  const core::ServiceDef* search = def.find_service("search");
+  ASSERT_NE(search, nullptr);
+  runtime::WorkStealingPool pool(2);
+  SlowRegions proxies(30ms);
+
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point start = Clock::now();
+  const PushRecord one = push_fleet(proxies, &pool, *search, {"eu-west"});
+  const Clock::time_point middle = Clock::now();
+  const PushRecord three = push_fleet(proxies, &pool, *search);
+  const Clock::time_point end = Clock::now();
+
+  ASSERT_EQ(one.acks, std::vector<std::string>{"eu-west ok"});
+  EXPECT_EQ(three.acks, healthy_acks());
+  EXPECT_EQ(three.result.acked, 3);
+  EXPECT_LT(end - middle, 2 * (middle - start))
+      << "a 3-region push should overlap its regions' round trips";
+  pool.shutdown();
+}
+
+TEST(FleetFanOut, FailingMiddleRegionReportedInCanaryOrder) {
+  const core::StrategyDef def = load_fleet_ramp();
+  const core::ServiceDef* search = def.find_service("search");
+  ASSERT_NE(search, nullptr);
+  SlowRegions sequential_proxies(5ms, {"us-east"});
+  const PushRecord sequential =
+      push_fleet(sequential_proxies, nullptr, *search);
+
+  runtime::WorkStealingPool pool(2);
+  SlowRegions concurrent_proxies(5ms, {"us-east"});
+  const PushRecord concurrent = push_fleet(concurrent_proxies, &pool, *search);
+  pool.shutdown();
+
+  const std::vector<std::string> want = {
+      "eu-west ok", "us-east region 'us-east' unreachable", "ap-south ok"};
+  EXPECT_EQ(concurrent.acks, want);
+  EXPECT_EQ(concurrent.acks, sequential.acks);
+  ASSERT_EQ(concurrent.result.outcomes.size(), 3u);
+  EXPECT_EQ(concurrent.result.outcomes[1].region->name, "us-east");
+  EXPECT_FALSE(concurrent.result.outcomes[1].ok);
+  EXPECT_EQ(concurrent.result.acked, sequential.result.acked);
+  EXPECT_EQ(concurrent.result.required, sequential.result.required);
+  EXPECT_TRUE(concurrent.result.quorum_met());
+  EXPECT_EQ(concurrent.result.failed_regions(), "us-east");
+}
+
+// An executor that never starts its jobs (a saturated pool, a paused
+// worker) cannot stall the push: the caller claims every offer and runs
+// it inline, in canary order; the late jobs then do nothing.
+TEST(FleetFanOut, ExecutorThatNeverStartsJobsDegradesToSequential) {
+  const core::StrategyDef def = load_fleet_ramp();
+  const core::ServiceDef* search = def.find_service("search");
+  ASSERT_NE(search, nullptr);
+  HoardingExecutor executor;
+  SlowRegions proxies(0ms);
+  const PushRecord record = push_fleet(proxies, &executor, *search);
+
+  EXPECT_EQ(record.acks, healthy_acks());
+  const auto applied = proxies.applied();
+  ASSERT_EQ(applied.size(), 3u);
+  for (const auto& [region, thread] : applied) {
+    EXPECT_EQ(thread, std::this_thread::get_id()) << region;
+  }
+  EXPECT_EQ(applied[1].first, "us-east");
+  EXPECT_EQ(executor.run_all(), 2u);  // the two offers, already claimed
+  EXPECT_EQ(proxies.applied().size(), 3u);
+}
+
+/// kRegionAck and kApplyAck records of a journal, wall-clock time
+/// stripped (it is the only field that differs between the arms).
+std::vector<std::string> ack_records(
+    const std::vector<engine::JournalRecord>& records) {
+  std::vector<std::string> out;
+  for (const engine::JournalRecord& record : records) {
+    if (record.type != RecordType::kRegionAck &&
+        record.type != RecordType::kApplyAck) {
+      continue;
+    }
+    json::Value data = record.data;
+    data.as_object().erase("tNs");
+    out.push_back(std::string(engine::record_type_name(record.type)) + " " +
+                  data.dump());
+  }
+  return out;
+}
+
+class NoMetrics final : public engine::MetricsClient {
+ public:
+  util::Result<std::optional<double>> query(
+      const core::ProviderConfig& /*provider*/,
+      const std::string& /*query*/) override {
+    return std::optional<double>{};
+  }
+};
+
+// The journal a real-threaded engine writes for a fleet push is the
+// sequential arm's, record for record: region acks in canary order
+// (the failing middle region included), then the quorum verdict.
+TEST(FleetFanOut, EngineJournalsAcksInCanaryOrderOnAPool) {
+  const char* kFleetPush = R"(
+strategy:
+  name: fleet-push
+  initial: rollout
+  states:
+    - state:
+        name: rollout
+        final: success
+        routes:
+          - route:
+              service: search
+              split:
+                - version: fast
+                  percent: 100
+deployment:
+  services:
+    - service:
+        name: search
+        quorum: 2
+        regions:
+          - region: { name: eu-west, adminHost: h, adminPort: 1, canaryOrder: 0 }
+          - region: { name: us-east, adminHost: h, adminPort: 2, canaryOrder: 1 }
+          - region: { name: ap-south, adminHost: h, adminPort: 3, canaryOrder: 2 }
+        versions:
+          - version: { name: fast, host: h, port: 4 }
+)";
+  auto compiled = dsl::compile(kFleetPush);
+  ASSERT_TRUE(compiled.ok()) << compiled.error_message();
+  const core::StrategyDef def = std::move(compiled).value();
+
+  auto run = [&def](runtime::Executor* executor) {
+    runtime::ManualClock clock;
+    NoMetrics metrics;
+    SlowRegions proxies(5ms, {"us-east"});
+    engine::MemoryJournal disk;
+    engine::Engine::Options options;
+    options.journal = &disk;
+    options.check_executor = executor;
+    engine::Engine eng(clock, metrics, proxies, options);
+    auto submitted = eng.submit(def);
+    EXPECT_TRUE(submitted.ok()) << submitted.error_message();
+    clock.advance_by(runtime::Duration(0));
+    const auto snapshot = eng.status(submitted.value());
+    EXPECT_TRUE(snapshot.has_value() &&
+                snapshot->status == engine::ExecutionStatus::kSucceeded);
+    return ack_records(disk.records());
+  };
+  const std::vector<std::string> sequential = run(nullptr);
+  runtime::WorkStealingPool pool(2);
+  const std::vector<std::string> concurrent = run(&pool);
+  pool.shutdown();
+
+  ASSERT_EQ(sequential.size(), 4u);
+  EXPECT_NE(sequential[0].find("eu-west"), std::string::npos);
+  EXPECT_NE(sequential[1].find("us-east"), std::string::npos);
+  EXPECT_NE(sequential[1].find("\"ok\":false"), std::string::npos);
+  EXPECT_NE(sequential[2].find("ap-south"), std::string::npos);
+  EXPECT_NE(sequential[3].find("\"ok\":true"), std::string::npos);
+  EXPECT_EQ(concurrent, sequential);
+}
+
+// On the simulator's worker lanes a push is sequential (the lanes start
+// jobs only after the pushing callback returns), and the run journals
+// the same region acks and leaves the same routing as the pool-less one.
+TEST(FleetFanOut, SimulatedWorkersPushSequentially) {
+  const core::StrategyDef def = load_fleet_ramp();
+  auto run = [&def](int workers, std::string* routing) {
+    sim::Simulation::Options sim_options = no_overhead();
+    sim_options.workers = workers;
+    sim::Simulation sim(sim_options);
+    sim::SimMetricsClient metrics(sim, region_metrics(), zero_metric_costs());
+    sim::SimProxyController proxies(sim, zero_proxy_costs());
+    engine::MemoryJournal disk;
+    engine::Engine::Options options;
+    options.journal = &disk;
+    if (workers > 0) options.check_executor = &sim;
+    engine::Engine eng(sim, metrics, proxies, options);
+    auto submitted = eng.submit(def);
+    EXPECT_TRUE(submitted.ok()) << submitted.error_message();
+    sim.run_all();
+    const auto snapshot = eng.status(submitted.value());
+    EXPECT_TRUE(snapshot.has_value() &&
+                snapshot->status == engine::ExecutionStatus::kSucceeded);
+    for (const auto& [key, value] : routing_of(proxies)) {
+      *routing += key + " " + value + "\n";
+    }
+    return ack_records(disk.records());
+  };
+  std::string pool_less_routing;
+  std::string simulated_routing;
+  const std::vector<std::string> pool_less = run(0, &pool_less_routing);
+  const std::vector<std::string> simulated = run(2, &simulated_routing);
+  ASSERT_FALSE(pool_less.empty());
+  EXPECT_EQ(simulated, pool_less);
+  EXPECT_EQ(simulated_routing, pool_less_routing);
 }
 
 }  // namespace

@@ -298,7 +298,10 @@ TEST(SessionTable, ConcurrentAssignTouchKeepsInvariants) {
       for (int i = 0; i < kOps; ++i) {
         const std::string session = "s-" + std::to_string((t * 7 + i) % 700);
         if (i % 3 == 0) {
-          table.touch(session);
+          // A known session reads back one of the two assigned versions.
+          const auto version = table.touch(session);
+          EXPECT_TRUE(!version || *version == "stable" ||
+                      *version == "canary");
         } else {
           table.assign(session, i % 2 == 0 ? "stable" : "canary");
         }

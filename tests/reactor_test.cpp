@@ -128,7 +128,6 @@ TEST(ReactorTest, MultipleWorkersShareOnePort) {
 }
 
 TEST(ReactorTest, SuspendCompleteMarshalsBackFromForeignThread) {
-  Reactor* raw = nullptr;
   std::mutex mutex;
   std::vector<Reactor::ConnId> pending;
   Reactor reactor(Reactor::Options{},
@@ -141,7 +140,6 @@ TEST(ReactorTest, SuspendCompleteMarshalsBackFromForeignThread) {
                     pending.push_back(id);
                     return Reactor::Verdict::kSuspend;
                   });
-  raw = &reactor;
   ASSERT_TRUE(reactor.start().ok());
   auto stream = TcpStream::connect("127.0.0.1", reactor.port());
   ASSERT_TRUE(stream.ok());
@@ -229,7 +227,6 @@ TEST(ReactorTest, ForeignCompletionsOfPipelinedRequestsNeverStall) {
 }
 
 TEST(ReactorTest, CompleteOnClosedConnectionIsSafeNoOp) {
-  Reactor* raw = nullptr;
   std::atomic<Reactor::ConnId> seen{0};
   Reactor reactor(Reactor::Options{},
                   [&](Reactor::ConnId id, std::string& input) {
@@ -237,7 +234,6 @@ TEST(ReactorTest, CompleteOnClosedConnectionIsSafeNoOp) {
                     seen = id;
                     return Reactor::Verdict::kSuspend;
                   });
-  raw = &reactor;
   ASSERT_TRUE(reactor.start().ok());
   {
     auto stream = TcpStream::connect("127.0.0.1", reactor.port());
@@ -279,7 +275,6 @@ TEST(ReactorTest, IdleConnectionsSweptAfterTimeout) {
 }
 
 TEST(ReactorTest, DrainFlushesSuspendedThenCloses) {
-  Reactor* raw = nullptr;
   std::atomic<Reactor::ConnId> seen{0};
   Reactor reactor(Reactor::Options{},
                   [&](Reactor::ConnId id, std::string& input) {
@@ -287,7 +282,6 @@ TEST(ReactorTest, DrainFlushesSuspendedThenCloses) {
                     seen = id;
                     return Reactor::Verdict::kSuspend;
                   });
-  raw = &reactor;
   ASSERT_TRUE(reactor.start().ok());
   auto stream = TcpStream::connect("127.0.0.1", reactor.port());
   ASSERT_TRUE(stream.ok());

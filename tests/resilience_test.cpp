@@ -7,17 +7,24 @@
 // counts, emitted events, and final call outcome for every cell. The
 // acceptance tests then run whole strategies against a seeded
 // sim::FaultPlan and pin the resulting event streams down to exact
-// virtual timestamps, three repeated runs each.
+// virtual timestamps, three repeated runs each. A last test pushes the
+// regions of a fleet concurrently through the proxy decorator (the
+// TSan lane checks its bookkeeping is guarded).
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <map>
+#include <mutex>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "core/model.hpp"
 #include "engine/execution.hpp"
+#include "engine/fleet.hpp"
 #include "engine/resilience.hpp"
+#include "runtime/manual_clock.hpp"
+#include "runtime/work_stealing_pool.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/sim_env.hpp"
 #include "sim/simulation.hpp"
@@ -720,6 +727,86 @@ TEST(Acceptance, ProxyHardDownRollsBackDeterministically) {
     const RunResult again = run_proxy_hard_down();
     EXPECT_EQ(again.status, first.status);
     EXPECT_EQ(fingerprint(again.events), fingerprint(first.events));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Concurrent region pushes through the decorator: a fleet push on an
+// engine with a check executor applies its regions from several threads
+// at once, so the retry RNG, the breaker map and the attempt counter
+// are shared between them.
+
+/// Thread-safe inner controller: the first apply of each region fails,
+/// every later one succeeds.
+class FirstAttemptFails final : public engine::ProxyController {
+ public:
+  util::Result<void> apply(const core::ServiceDef& /*service*/,
+                           const proxy::ProxyConfig& /*config*/) override {
+    return {};
+  }
+  util::Result<void> apply_region(
+      const core::ServiceDef& /*service*/, const core::RegionDef& region,
+      const proxy::ProxyConfig& /*config*/) override {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (calls_[region.name]++ == 0) {
+      return util::Result<void>::error("first push to " + region.name);
+    }
+    return {};
+  }
+
+ private:
+  std::mutex mutex_;
+  std::map<std::string, int> calls_;
+};
+
+TEST(ResilientFleet, ConcurrentRegionPushesShareGuardedBookkeeping) {
+  core::ServiceDef service;
+  service.name = "search";
+  service.quorum = 3;
+  for (const char* name : {"eu-west", "us-east", "ap-south"}) {
+    core::RegionDef region;
+    region.name = name;
+    region.canary_order = static_cast<int>(service.regions.size());
+    service.regions.push_back(region);
+  }
+  service.retry.max_attempts = 3;
+  service.retry.jitter = 0.5;
+  service.circuit_breaker.enabled = true;
+  service.circuit_breaker.failure_threshold = 5;
+
+  runtime::ManualClock clock;
+  FirstAttemptFails inner;
+  const engine::SleepFn no_sleep = [](runtime::Duration) {};
+  engine::ResilientProxyController proxies(inner, clock, no_sleep, 7);
+  std::mutex events_mutex;
+  int retried = 0;
+  proxies.set_listener([&](const StatusEvent& event) {
+    const std::lock_guard<std::mutex> lock(events_mutex);
+    if (event.type == StatusEvent::Type::kRetried) ++retried;
+  });
+
+  runtime::WorkStealingPool pool(2);
+  engine::Fleet fleet(proxies, &pool);
+  proxy::ProxyConfig config;
+  config.service = "search";
+  for (int push = 0; push < 20; ++push) {
+    const engine::Fleet::PushResult result =
+        fleet.push(service, config, {}, nullptr, nullptr);
+    EXPECT_EQ(result.acked, 3) << "push " << push;
+  }
+  pool.shutdown();
+
+  // One retry per region on the first push, one attempt per region on
+  // every later push.
+  EXPECT_EQ(proxies.attempts(), 3u * 2u + 19u * 3u);
+  {
+    const std::lock_guard<std::mutex> lock(events_mutex);
+    EXPECT_EQ(retried, 3);
+  }
+  for (const core::RegionDef& region : service.regions) {
+    const CircuitBreaker* breaker = proxies.breaker("search/" + region.name);
+    ASSERT_NE(breaker, nullptr) << region.name;
+    EXPECT_EQ(breaker->state(), CircuitBreaker::State::kClosed);
   }
 }
 
