@@ -7,10 +7,15 @@
 //  * DSL/YAML compile cost vs strategy size,
 //  * PromQL-subset parse + evaluate cost vs store size,
 //  * automaton-step (threshold mapping + weighted outcome) cost,
-//  * HTTP head parsing and JSON round trips on the control plane.
+//  * HTTP head parsing and JSON round trips on the control plane,
+//  * journal snapshot and replay cost against engine age.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
+#include <memory>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,10 +24,15 @@
 #include "core/analysis.hpp"
 #include "core/model.hpp"
 #include "dsl/dsl.hpp"
+#include "engine/engine.hpp"
+#include "engine/journal.hpp"
+#include "engine/recovery.hpp"
 #include "http/parser.hpp"
 #include "json/json.hpp"
 #include "metrics/query.hpp"
 #include "proxy/proxy.hpp"
+#include "sim/sim_env.hpp"
+#include "sim/simulation.hpp"
 #include "util/rng.hpp"
 #include "util/uuid.hpp"
 
@@ -287,6 +297,156 @@ void BM_ValidateStrategy(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ValidateStrategy);
+
+// ---------------------------------------------------------------------------
+// Journal snapshots and replay against engine age
+
+/// Keeps what an engine journals, minus the payloads no replay reads:
+/// at each snapshot it empties the previous snapshot and drops the
+/// intent configs journaled before it and the definitions of strategies
+/// it neither holds live nor names in an intent. Replay starts at the
+/// newest snapshot, or reads only those definitions before it, so this
+/// only bounds the bench's memory.
+class BenchJournal final : public engine::Journal {
+ public:
+  util::Result<void> append(engine::RecordType type,
+                            json::Value data) override {
+    records_.push_back(engine::JournalRecord{type, std::move(data)});
+    if (type == engine::RecordType::kSubmit) {
+      submits_.push_back(records_.size() - 1);
+    } else if (type == engine::RecordType::kSnapshot) {
+      drop_unread();
+    }
+    return {};
+  }
+  util::Result<void> sync() override { return {}; }
+  [[nodiscard]] std::uint64_t records_written() const override {
+    return records_.size();
+  }
+  [[nodiscard]] const std::vector<engine::JournalRecord>& records() const {
+    return records_;
+  }
+
+ private:
+  void drop_unread() {
+    const json::Value& snapshot = records_.back().data;
+    std::set<std::string> read;
+    for (const json::Value& entry :
+         snapshot.find("strategies")->as_array()) {
+      if (!entry.get_bool("terminal")) read.insert(entry.get_string("id"));
+    }
+    for (const char* key : {"intents", "fleetIntents", "regionIntents"}) {
+      for (const auto& [name, intent] : snapshot.find(key)->as_object()) {
+        read.insert(intent.get_string("strategyId"));
+      }
+    }
+    for (; stripped_ + 1 < records_.size(); ++stripped_) {
+      engine::JournalRecord& record = records_[stripped_];
+      if (record.type == engine::RecordType::kApplyIntent) {
+        record.data.as_object().erase("config");
+      } else if (record.type == engine::RecordType::kSnapshot) {
+        record.data = json::Object{};
+      }
+    }
+    std::erase_if(submits_, [&](std::size_t i) {
+      json::Object& data = records_[i].data.as_object();
+      if (read.count(data["id"].as_string()) > 0) return false;
+      data.erase("def");
+      return true;
+    });
+  }
+
+  std::vector<engine::JournalRecord> records_;
+  std::vector<std::size_t> submits_;  ///< still carrying their definition
+  std::size_t stripped_ = 0;
+};
+
+/// The journal of an engine that ran `retired` 100-step ramps (the DSL
+/// rollout above) back to back and is half-way through one more, in a
+/// cost-free simulation with the default snapshot cadence. Every 100
+/// ramps the engine restarts and recovers from the journal, which drops
+/// the executions and definitions a running engine keeps of finished
+/// strategies; the snapshots it writes are the same either way. Null if
+/// the engine refused a submit or a recovery.
+std::unique_ptr<BenchJournal> aged_journal(std::int64_t retired) {
+  using namespace std::chrono_literals;
+  sim::Simulation::Options sim_options;
+  sim_options.dispatch_overhead = 0ns;
+  sim::Simulation sim(sim_options);
+  sim::SimMetricsClient::Costs costs;
+  costs.default_query = {0ns, 0ns};
+  sim::SimMetricsClient metrics(
+      sim, [](const std::string&, double) { return std::optional(0.0); },
+      costs);
+  sim::SimProxyController proxies(sim, {0ns, 0ns});
+  auto journal = std::make_unique<BenchJournal>();
+  engine::Engine::Options options;
+  options.journal = journal.get();
+  const core::StrategyDef def = dsl::compile(strategy_yaml(100)).value();
+  std::unique_ptr<engine::Engine> eng;
+  for (std::int64_t i = 0; i <= retired; ++i) {
+    if (i % 100 == 0) {
+      eng.reset();
+      eng = std::make_unique<engine::Engine>(sim, metrics, proxies, options);
+      if (!eng->recover(journal->records()).ok()) return nullptr;
+    }
+    if (!eng->submit(def).ok()) return nullptr;
+    sim.run_until(i < retired ? runtime::Time::max()
+                              : sim.now() + runtime::Duration(500s));
+  }
+  return journal;
+}
+
+// What the engine does every snapshot_every records, under its journal
+// mutex: build the snapshot and frame it (FileJournal::append adds the
+// write). A tracker replayed from the aged engine's journal writes the
+// snapshot that engine's own tracker would.
+void BM_TrackerSnapshot(benchmark::State& state) {
+  engine::StateTracker tracker;
+  if (auto journal = aged_journal(state.range(0));
+      journal == nullptr || !tracker.replay(journal->records()).ok()) {
+    state.SkipWithError("could not age the engine");
+    return;
+  }
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string frame = engine::frame_record(
+        engine::RecordType::kSnapshot, tracker.to_snapshot());
+    bytes = frame.size();
+    benchmark::DoNotOptimize(frame.data());
+  }
+  // A label, not a counter: the CSV reporter needs every benchmark to
+  // report the same counters.
+  state.SetLabel(std::to_string(bytes) + " bytes");
+}
+
+// What Engine::recover() starts with: replay of the whole journal.
+void BM_Replay(benchmark::State& state) {
+  const auto journal = aged_journal(state.range(0));
+  if (journal == nullptr) {
+    state.SkipWithError("could not age the engine");
+    return;
+  }
+  for (auto _ : state) {
+    engine::StateTracker tracker;
+    if (!tracker.replay(journal->records()).ok()) {
+      state.SkipWithError("replay failed");
+      break;
+    }
+    benchmark::DoNotOptimize(tracker.strategies().size());
+  }
+  state.SetLabel(std::to_string(journal->records().size()) + " records");
+}
+
+// Engine ages, in retired ramps. A journal of 1000 ramps holds about
+// 420k records (several hundred MB in memory), so smoke mode stops at
+// 100.
+void engine_ages(benchmark::internal::Benchmark* bench) {
+  bench->Arg(10)->Arg(100)->Unit(benchmark::kMicrosecond);
+  if (!bifrost::bench::smoke_mode()) bench->Arg(1000);
+}
+BENCHMARK(BM_TrackerSnapshot)->Apply(engine_ages);
+BENCHMARK(BM_Replay)->Apply(engine_ages);
 
 // ---------------------------------------------------------------------------
 // Control-plane codecs

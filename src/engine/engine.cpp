@@ -46,6 +46,7 @@ util::Result<std::string> Engine::submit(core::StrategyDef def,
     return util::Result<std::string>::error(v.error_message());
   }
   json::Value def_json;
+  std::optional<core::StrategyDef> tracked;
   if (options_.journal != nullptr) {
     if (core::has_custom_eval(def)) {
       return util::Result<std::string>::error(
@@ -54,6 +55,7 @@ util::Result<std::string> Engine::submit(core::StrategyDef def,
           "engine without --journal or express the check in the DSL");
     }
     def_json = core::strategy_to_json(def);
+    tracked = def;  // the live tracker's copy; it parses nothing back
   }
   std::string id;
   std::string name = def.name;
@@ -83,7 +85,8 @@ util::Result<std::string> Engine::submit(core::StrategyDef def,
     append_record(RecordType::kSubmit,
                   json::Object{{"id", id},
                                {"name", std::move(name)},
-                               {"def", std::move(def_json)}});
+                               {"def", std::move(def_json)}},
+                  std::move(tracked));
   }
   execution->request_start();
   return id;
@@ -105,7 +108,8 @@ void Engine::record(RecordType type, json::Value data) {
   append_record(type, std::move(data));
 }
 
-void Engine::append_record(RecordType type, json::Value data) {
+void Engine::append_record(RecordType type, json::Value data,
+                           std::optional<core::StrategyDef> def) {
   std::vector<std::string> errors;
   {
     const std::lock_guard<std::mutex> lock(journal_mutex_);
@@ -117,10 +121,20 @@ void Engine::append_record(RecordType type, json::Value data) {
     // records the engine itself produced, so they are not fatal. It
     // reads the record before the journal takes it over, which saves a
     // copy of every record.
-    (void)tracker_.apply(record);
+    (void)tracker_.apply(record, std::move(def));
+    // A terminal record carries the strategy's retired summary, so the
+    // summary and the terminal state are journaled atomically and no
+    // snapshot needs to repeat it.
+    std::string retired;
+    if (is_terminal(type)) {
+      retired = record.data.get_string("id");
+      record.data.as_object()["summary"] = tracker_.summary(retired);
+    }
     auto appended = options_.journal->append(type, std::move(record.data));
     if (!appended.ok()) {
       errors.push_back("journal append failed: " + appended.error_message());
+    } else if (!retired.empty()) {
+      tracker_.mark_summary_journaled(retired);
     }
     ++records_appended_;
     if (options_.snapshot_every > 0 &&

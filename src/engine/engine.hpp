@@ -150,9 +150,12 @@ class Engine : private DurabilitySink {
   void record(RecordType type, json::Value data) override;
 
   /// Single choke point for journal writes: appends, feeds the live
-  /// tracker (snapshot source), interleaves snapshots. Propagates
-  /// whatever Journal::append throws (sim::CrashInjected in tests).
-  void append_record(RecordType type, json::Value data);
+  /// tracker (snapshot source; `def` as in StateTracker::apply), adds
+  /// the retired summary to terminal records, interleaves snapshots.
+  /// Propagates whatever Journal::append throws (sim::CrashInjected in
+  /// tests).
+  void append_record(RecordType type, json::Value data,
+                     std::optional<core::StrategyDef> def = {});
 
   [[nodiscard]] StrategyExecution::Options execution_options();
   [[nodiscard]] static StrategySnapshot snapshot_from_resume(

@@ -35,6 +35,7 @@ namespace bifrost::engine {
 /// go at the end so serialized names stay stable.
 enum class RecordType {
   kSubmit,             ///< strategy accepted: id, name, full StrategyDef
+                       ///< (the only record that holds the definition)
   kStarted,            ///< execution began running
   kStateEntered,       ///< automaton entered a state
   kCheckExecuted,      ///< one check execution finished (result + aggregates)
@@ -42,13 +43,21 @@ enum class RecordType {
   kExceptionTriggered, ///< exception check fired, fallback transition
   kApplyIntent,        ///< about to push routing to a proxy (WAL: pre-call)
   kApplyAck,           ///< proxy apply returned (ok or error)
-  kFinished,           ///< terminal state reached (success/rollback)
-  kAborted,            ///< execution aborted by operator or rollback failure
-  kSnapshot,           ///< compacted tracker state; replay starts here
+  kFinished,           ///< terminal state reached (success/rollback);
+                       ///< carries the retired `summary` (recovery.hpp)
+  kAborted,            ///< execution aborted by operator or rollback
+                       ///< failure; carries the retired `summary`
+  kSnapshot,           ///< live tracker state; replay starts here
   kRecovered,          ///< marker: engine recovered executions from journal
   kReconciled,         ///< marker: proxy reconciliation pass completed
   kRegionAck,          ///< one region of a fleet push returned (ok or error)
 };
+
+/// kFinished or kAborted: the strategy is done and the record carries
+/// its retired summary.
+[[nodiscard]] inline bool is_terminal(RecordType type) {
+  return type == RecordType::kFinished || type == RecordType::kAborted;
+}
 
 [[nodiscard]] const char* record_type_name(RecordType type);
 [[nodiscard]] std::optional<RecordType> record_type_from_name(

@@ -27,6 +27,35 @@ std::uint64_t id_suffix(const std::string& id) {
   return n;
 }
 
+/// The definition a kSubmit record carries.
+Result<core::StrategyDef> definition_from(const json::Value& submit) {
+  const json::Value* def = submit.find("def");
+  return core::strategy_from_json(def != nullptr ? *def : json::Value{});
+}
+
+/// A journaled intent: an apply_intent record or a snapshot's entry.
+Result<StateTracker::Intent> intent_from(const json::Value& data,
+                                         std::string strategy_id) {
+  StateTracker::Intent intent;
+  intent.epoch = static_cast<std::uint64_t>(data.get_number("epoch"));
+  intent.strategy_id = std::move(strategy_id);
+  if (const json::Value* config = data.find("config")) {
+    auto parsed = proxy::ProxyConfig::from_json(*config);
+    if (!parsed.ok()) {
+      return Result<StateTracker::Intent>::error("intent config: " +
+                                                 parsed.error_message());
+    }
+    intent.config = std::move(parsed).value();
+  }
+  if (const json::Value* regions = data.find("regions");
+      regions != nullptr && regions->is_array()) {
+    for (const json::Value& region : regions->as_array()) {
+      if (region.is_string()) intent.regions.push_back(region.as_string());
+    }
+  }
+  return intent;
+}
+
 const char* pending_name(ResumeState::Pending pending) {
   switch (pending) {
     case ResumeState::Pending::kNone:
@@ -69,31 +98,64 @@ ResumeState::Pending pending_from_name(std::string_view name) {
 }  // namespace
 
 Result<void> StateTracker::replay(const std::vector<JournalRecord>& records) {
-  // Snapshots carry the complete tracker state, so replay only needs
-  // the suffix that follows the newest one.
-  std::size_t start = 0;
-  for (std::size_t i = records.size(); i > 0; --i) {
-    if (records[i - 1].type == RecordType::kSnapshot) {
-      start = i - 1;
-      break;
+  // Replay starts at the newest snapshot. A snapshot holds only live
+  // work, so one pass over the records before it indexes definitions
+  // (kSubmit) and loads the retired summaries terminal records carry. It
+  // reads only the type of other records: each payload is a cache miss.
+  std::size_t start = records.size();
+  while (start > 0 && records[start - 1].type != RecordType::kSnapshot) {
+    --start;
+  }
+  const auto failed = [&records](std::size_t i, const Result<void>& r) {
+    return Result<void>::error("journal record " + std::to_string(i) + " (" +
+                               record_type_name(records[i].type) +
+                               "): " + r.error_message());
+  };
+  if (start > 0) {
+    if (auto r = apply(records[start - 1]); !r) return failed(start - 1, r);
+    std::map<std::string, const json::Value*> submits;
+    for (std::size_t i = 0; i + 1 < start; ++i) {
+      const json::Value& data = records[i].data;
+      const json::Value* summary =
+          is_terminal(records[i].type) ? data.find("summary") : nullptr;
+      if (records[i].type == RecordType::kSubmit) {
+        submits[data.get_string("id")] = &data;
+      } else if (summary != nullptr) {
+        if (auto r = load_entry(*summary, true); !r) return failed(i, r);
+      }
+    }
+    // Live strategies resume from their definition; reconcile() finds an
+    // intent's ServiceDef in the definition of the strategy it names.
+    std::set<std::string> owners;
+    for (const auto* intents : {&intents_, &fleet_intents_, &region_intents_}) {
+      for (const auto& [key, intent] : *intents) {
+        owners.insert(intent.strategy_id);
+      }
+    }
+    for (auto& [id, strategy] : strategies_) {
+      if (!strategy.def.states.empty() ||
+          (strategy.terminal && owners.count(id) == 0)) {
+        continue;
+      }
+      const auto submit = submits.find(id);
+      if (submit == submits.end()) {
+        return Result<void>::error("no submit record holds strategy '" + id +
+                                   "'");
+      }
+      auto def = definition_from(*submit->second);
+      if (!def.ok()) return Result<void>::error(def.error_message());
+      strategy.def = std::move(def).value();
     }
   }
   for (std::size_t i = start; i < records.size(); ++i) {
-    if (auto r = apply(records[i]); !r) {
-      return Result<void>::error("journal record " + std::to_string(i) + " (" +
-                                 record_type_name(records[i].type) +
-                                 "): " + r.error_message());
-    }
+    if (auto r = apply(records[i]); !r) return failed(i, r);
   }
   return {};
 }
 
-Result<void> StateTracker::apply(const JournalRecord& record) {
+Result<void> StateTracker::apply(const JournalRecord& record,
+                                 std::optional<core::StrategyDef> def) {
   ++records_seen_;
-  return apply_impl(record);
-}
-
-Result<void> StateTracker::apply_impl(const JournalRecord& record) {
   const json::Value& data = record.data;
 
   if (record.type == RecordType::kSnapshot) return load_snapshot(data);
@@ -105,14 +167,13 @@ Result<void> StateTracker::apply_impl(const JournalRecord& record) {
   if (record.type == RecordType::kSubmit) {
     const std::string id = data.get_string("id");
     if (id.empty()) return Result<void>::error("submit record without id");
-    const json::Value* def_json = data.find("def");
-    if (def_json == nullptr) {
-      return Result<void>::error("submit record without def");
+    if (!def) {
+      auto parsed = definition_from(data);
+      if (!parsed.ok()) return Result<void>::error(parsed.error_message());
+      def = std::move(parsed).value();
     }
-    auto def = core::strategy_from_json(*def_json);
-    if (!def.ok()) return Result<void>::error(def.error_message());
     Strategy strategy;
-    strategy.def = std::move(def).value();
+    strategy.def = std::move(*def);
     strategy.name = data.get_string("name", strategy.def.name);
     strategy.resume.pending = ResumeState::Pending::kStart;
     strategy.resume.status = ExecutionStatus::kPending;
@@ -172,24 +233,10 @@ Result<void> StateTracker::apply_impl(const JournalRecord& record) {
 
       const std::string service = data.get_string("service");
       epochs_[service] = std::max(epochs_[service], epoch);
-      if (const json::Value* config_json = data.find("config")) {
-        auto config = proxy::ProxyConfig::from_json(*config_json);
-        if (!config.ok()) {
-          return Result<void>::error("apply intent config: " +
-                                     config.error_message());
-        }
-        Intent incoming;
-        incoming.epoch = epoch;
-        incoming.config = std::move(config).value();
-        incoming.strategy_id = id;
-        if (const json::Value* regions = data.find("regions");
-            regions != nullptr && regions->is_array()) {
-          for (const json::Value& region : regions->as_array()) {
-            if (region.is_string()) {
-              incoming.regions.push_back(region.as_string());
-            }
-          }
-        }
+      if (data.find("config") != nullptr) {
+        auto parsed = intent_from(data, id);
+        if (!parsed.ok()) return Result<void>::error(parsed.error_message());
+        const Intent incoming = std::move(parsed).value();
         // Later intents supersede earlier ones; epochs are per-service
         // monotone so ">=" keeps the newest.
         const auto supersede = [&incoming](Intent& slot) {
@@ -281,23 +328,12 @@ Result<void> StateTracker::apply_impl(const JournalRecord& record) {
       return {};
     }
 
-    case RecordType::kFinished: {
-      const auto status =
-          execution_status_from_name(data.get_string("status"));
-      rs.status = status.value_or(ExecutionStatus::kSucceeded);
-      rs.finished_at = time_from(data, "tNs");
-      if (!rs.history.empty() &&
-          rs.history.back().exited == runtime::Time{0}) {
-        rs.history.back().exited = rs.finished_at;
-      }
-      rs.pending = ResumeState::Pending::kNone;
-      strategy.terminal = true;
-      strategy.specified = specified_duration(strategy.def, rs.history);
-      return {};
-    }
-
+    case RecordType::kFinished:
     case RecordType::kAborted: {
-      rs.status = ExecutionStatus::kAborted;
+      rs.status = record.type == RecordType::kAborted
+                      ? ExecutionStatus::kAborted
+                      : execution_status_from_name(data.get_string("status"))
+                            .value_or(ExecutionStatus::kSucceeded);
       rs.finished_at = time_from(data, "tNs");
       if (!rs.history.empty() &&
           rs.history.back().exited == runtime::Time{0}) {
@@ -306,6 +342,8 @@ Result<void> StateTracker::apply_impl(const JournalRecord& record) {
       rs.pending = ResumeState::Pending::kNone;
       strategy.terminal = true;
       strategy.specified = specified_duration(strategy.def, rs.history);
+      const json::Value* summary = data.find("summary");
+      strategy.summary_journaled = summary != nullptr && summary->is_object();
       return {};
     }
 
@@ -321,52 +359,54 @@ Result<void> StateTracker::apply_impl(const JournalRecord& record) {
 // ---------------------------------------------------------------------------
 // Snapshot round-trip
 
-json::Value StateTracker::to_snapshot() const {
-  // Strategies an apply intent names keep their definition: reconcile()
-  // and resync_regions() look the intent's ServiceDef up there.
-  std::set<std::string> intent_owners;
-  for (const auto* intents : {&intents_, &fleet_intents_, &region_intents_}) {
-    for (const auto& [key, intent] : *intents) {
-      intent_owners.insert(intent.strategy_id);
-    }
+json::Value StateTracker::summary(const std::string& id) const {
+  const auto it = strategies_.find(id);
+  if (it == strategies_.end()) return {};
+  const Strategy& strategy = it->second;
+  const ResumeState& rs = strategy.resume;
+  json::Array history;
+  for (const StateVisit& visit : rs.history) {
+    history.push_back(json::Object{
+        {"state", visit.state},
+        {"enteredNs", static_cast<std::int64_t>(visit.entered.count())},
+        {"exitedNs", static_cast<std::int64_t>(visit.exited.count())},
+        {"outcome", visit.outcome},
+        {"viaException", visit.via_exception},
+    });
   }
+  // What Engine::status() reports. The array is moved in after
+  // construction: an initializer list would deep-copy it.
+  json::Object entry{
+      {"id", id},
+      {"name", strategy.name},
+      {"terminal", strategy.terminal},
+      {"status", execution_status_name(rs.status)},
+      {"currentState", rs.current_state},
+      {"startedNs", static_cast<std::int64_t>(rs.started_at.count())},
+      {"finishedNs", static_cast<std::int64_t>(rs.finished_at.count())},
+      {"transitions", rs.transitions},
+      {"checksExecuted", rs.checks_executed},
+  };
+  entry["history"] = std::move(history);
+  if (strategy.terminal) {
+    entry["specifiedNs"] =
+        static_cast<std::int64_t>(strategy.specified.count());
+  }
+  return entry;
+}
+
+json::Value StateTracker::to_snapshot() const {
   json::Array strategies;
   for (const auto& [id, strategy] : strategies_) {
-    const ResumeState& rs = strategy.resume;
-    json::Array history;
-    for (const StateVisit& visit : rs.history) {
-      history.push_back(json::Object{
-          {"state", visit.state},
-          {"enteredNs", static_cast<std::int64_t>(visit.entered.count())},
-          {"exitedNs", static_cast<std::int64_t>(visit.exited.count())},
-          {"outcome", visit.outcome},
-          {"viaException", visit.via_exception},
-      });
-    }
-    // What Engine::status() reports; a retired strategy is only this.
-    // Arrays are moved in after construction: an initializer list
-    // would deep-copy them.
-    json::Object entry{
-        {"id", id},
-        {"name", strategy.name},
-        {"terminal", strategy.terminal},
-        {"status", execution_status_name(rs.status)},
-        {"currentState", rs.current_state},
-        {"startedNs", static_cast<std::int64_t>(rs.started_at.count())},
-        {"finishedNs", static_cast<std::int64_t>(rs.finished_at.count())},
-        {"transitions", rs.transitions},
-        {"checksExecuted", rs.checks_executed},
-    };
-    entry["history"] = std::move(history);
-    if (!strategy.terminal || intent_owners.count(id) > 0) {
-      entry["def"] = core::strategy_to_json(strategy.def);
-    }
+    // Retired summaries ride on terminal records; one recovered from an
+    // older journal is on none, so it stays.
+    if (strategy.terminal && strategy.summary_journaled) continue;
+    json::Value entry = summary(id);
     if (strategy.terminal) {
-      entry["specifiedNs"] =
-          static_cast<std::int64_t>(strategy.specified.count());
       strategies.push_back(std::move(entry));
       continue;
     }
+    const ResumeState& rs = strategy.resume;
     json::Array applies;
     for (const ResumeState::ApplyProgress& apply : rs.applies) {
       json::Object progress{
@@ -392,13 +432,14 @@ json::Value StateTracker::to_snapshot() const {
            static_cast<std::int64_t>(check.next_deadline.count())},
       });
     }
-    entry["applies"] = std::move(applies);
-    entry["checks"] = std::move(checks);
-    entry["pending"] = pending_name(rs.pending);
-    entry["target"] = rs.target;
-    entry["pendingCheck"] = rs.pending_check;
-    entry["exceptionJournaled"] = rs.exception_journaled;
-    entry["pendingReason"] = rs.pending_reason;
+    json::Object& fields = entry.as_object();
+    fields["applies"] = std::move(applies);
+    fields["checks"] = std::move(checks);
+    fields["pending"] = pending_name(rs.pending);
+    fields["target"] = rs.target;
+    fields["pendingCheck"] = rs.pending_check;
+    fields["exceptionJournaled"] = rs.exception_journaled;
+    fields["pendingReason"] = rs.pending_reason;
     strategies.push_back(std::move(entry));
   }
   json::Object epochs;
@@ -458,24 +499,9 @@ Result<void> StateTracker::load_snapshot(const json::Value& snapshot) {
     const json::Value* intents = snapshot.find(key);
     if (intents == nullptr || !intents->is_object()) return {};
     for (const auto& [name, value] : intents->as_object()) {
-      Intent intent;
-      intent.epoch = static_cast<std::uint64_t>(value.get_number("epoch"));
-      intent.strategy_id = value.get_string("strategyId");
-      if (const json::Value* config = value.find("config")) {
-        auto parsed = proxy::ProxyConfig::from_json(*config);
-        if (!parsed.ok()) {
-          return Result<void>::error("snapshot intent config: " +
-                                     parsed.error_message());
-        }
-        intent.config = std::move(parsed).value();
-      }
-      if (const json::Value* regions = value.find("regions");
-          regions != nullptr && regions->is_array()) {
-        for (const json::Value& region : regions->as_array()) {
-          if (region.is_string()) intent.regions.push_back(region.as_string());
-        }
-      }
-      out[name] = std::move(intent);
+      auto intent = intent_from(value, value.get_string("strategyId"));
+      if (!intent.ok()) return Result<void>::error(intent.error_message());
+      out[name] = std::move(intent).value();
     }
     return {};
   };
@@ -486,90 +512,94 @@ Result<void> StateTracker::load_snapshot(const json::Value& snapshot) {
   const json::Value* strategies = snapshot.find("strategies");
   if (strategies == nullptr || !strategies->is_array()) return {};
   for (const json::Value& entry : strategies->as_array()) {
-    const std::string id = entry.get_string("id");
-    const json::Value* def_json = entry.find("def");
-    Strategy strategy;
-    strategy.terminal = entry.get_bool("terminal");
-    // Only a retired summary may come without its definition.
-    if (id.empty() || (def_json == nullptr && !strategy.terminal)) {
-      return Result<void>::error("snapshot strategy missing id/def");
-    }
-    if (def_json != nullptr) {
-      auto def = core::strategy_from_json(*def_json);
-      if (!def.ok()) return Result<void>::error(def.error_message());
-      strategy.def = std::move(def).value();
-    }
-    strategy.name = entry.get_string("name", strategy.def.name);
-    ResumeState& rs = strategy.resume;
-    rs.status = execution_status_from_name(entry.get_string("status"))
-                    .value_or(ExecutionStatus::kRunning);
-    rs.current_state = entry.get_string("currentState");
-    rs.started_at = time_from(entry, "startedNs");
-    rs.finished_at = time_from(entry, "finishedNs");
-    rs.transitions =
-        static_cast<std::uint64_t>(entry.get_number("transitions"));
-    rs.checks_executed =
-        static_cast<std::uint64_t>(entry.get_number("checksExecuted"));
-    if (const json::Value* history = entry.find("history");
-        history != nullptr && history->is_array()) {
-      for (const json::Value& visit : history->as_array()) {
-        rs.history.push_back(StateVisit{
-            visit.get_string("state"),
-            time_from(visit, "enteredNs"),
-            time_from(visit, "exitedNs"),
-            visit.get_number("outcome"),
-            visit.get_bool("viaException"),
-        });
-      }
-    }
-    if (const json::Value* applies = entry.find("applies");
-        applies != nullptr && applies->is_array()) {
-      for (const json::Value& apply : applies->as_array()) {
-        ResumeState::ApplyProgress progress{
-            apply.get_bool("intent"),
-            static_cast<std::uint64_t>(apply.get_number("epoch")),
-            apply.get_bool("acked"),
-            apply.get_bool("ok"),
-            {},
-        };
-        if (const json::Value* acks = apply.find("regionAcks");
-            acks != nullptr && acks->is_object()) {
-          for (const auto& [region, ok] : acks->as_object()) {
-            progress.region_acks[region] = ok.is_bool() && ok.as_bool();
-          }
-        }
-        rs.applies.push_back(std::move(progress));
-      }
-    }
-    if (const json::Value* checks = entry.find("checks");
-        checks != nullptr && checks->is_array()) {
-      for (const json::Value& check : checks->as_array()) {
-        rs.checks.push_back(ResumeState::CheckProgress{
-            static_cast<int>(check.get_number("executed")),
-            static_cast<int>(check.get_number("successes")),
-            check.get_bool("done"),
-            runtime::Time(static_cast<std::int64_t>(
-                check.get_number("nextDeadlineNs"))),
-        });
-      }
-    }
-    rs.pending = pending_from_name(entry.get_string("pending", "none"));
-    rs.target = entry.get_string("target");
-    rs.pending_check = entry.get_string("pendingCheck");
-    rs.exception_journaled = entry.get_bool("exceptionJournaled");
-    rs.pending_reason = entry.get_string("pendingReason");
-    if (strategy.terminal) {
-      // Snapshots written before strategies were retired carry the
-      // full definition instead of the precomputed sum.
-      const json::Value* specified = entry.find("specifiedNs");
-      strategy.specified =
-          specified != nullptr && specified->is_number()
-              ? runtime::Duration(
-                    static_cast<std::int64_t>(specified->as_number()))
-              : specified_duration(strategy.def, rs.history);
-    }
-    strategies_[id] = std::move(strategy);
+    if (auto r = load_entry(entry, false); !r) return r;
   }
+  return {};
+}
+
+Result<void> StateTracker::load_entry(const json::Value& entry,
+                                      bool journaled) {
+  const std::string id = entry.get_string("id");
+  if (id.empty()) return Result<void>::error("strategy entry without id");
+  Strategy strategy;
+  // Snapshots from before definitions stayed in kSubmit carry them.
+  if (const json::Value* def_json = entry.find("def")) {
+    auto def = core::strategy_from_json(*def_json);
+    if (!def.ok()) return Result<void>::error(def.error_message());
+    strategy.def = std::move(def).value();
+  }
+  strategy.terminal = journaled || entry.get_bool("terminal");
+  strategy.summary_journaled = journaled;
+  strategy.name = entry.get_string("name", strategy.def.name);
+  ResumeState& rs = strategy.resume;
+  rs.status = execution_status_from_name(entry.get_string("status"))
+                  .value_or(ExecutionStatus::kRunning);
+  rs.current_state = entry.get_string("currentState");
+  rs.started_at = time_from(entry, "startedNs");
+  rs.finished_at = time_from(entry, "finishedNs");
+  rs.transitions =
+      static_cast<std::uint64_t>(entry.get_number("transitions"));
+  rs.checks_executed =
+      static_cast<std::uint64_t>(entry.get_number("checksExecuted"));
+  if (const json::Value* history = entry.find("history");
+      history != nullptr && history->is_array()) {
+    for (const json::Value& visit : history->as_array()) {
+      rs.history.push_back(StateVisit{
+          visit.get_string("state"),
+          time_from(visit, "enteredNs"),
+          time_from(visit, "exitedNs"),
+          visit.get_number("outcome"),
+          visit.get_bool("viaException"),
+      });
+    }
+  }
+  if (const json::Value* applies = entry.find("applies");
+      applies != nullptr && applies->is_array()) {
+    for (const json::Value& apply : applies->as_array()) {
+      ResumeState::ApplyProgress progress{
+          apply.get_bool("intent"),
+          static_cast<std::uint64_t>(apply.get_number("epoch")),
+          apply.get_bool("acked"),
+          apply.get_bool("ok"),
+          {},
+      };
+      if (const json::Value* acks = apply.find("regionAcks");
+          acks != nullptr && acks->is_object()) {
+        for (const auto& [region, ok] : acks->as_object()) {
+          progress.region_acks[region] = ok.is_bool() && ok.as_bool();
+        }
+      }
+      rs.applies.push_back(std::move(progress));
+    }
+  }
+  if (const json::Value* checks = entry.find("checks");
+      checks != nullptr && checks->is_array()) {
+    for (const json::Value& check : checks->as_array()) {
+      rs.checks.push_back(ResumeState::CheckProgress{
+          static_cast<int>(check.get_number("executed")),
+          static_cast<int>(check.get_number("successes")),
+          check.get_bool("done"),
+          runtime::Time(static_cast<std::int64_t>(
+              check.get_number("nextDeadlineNs"))),
+      });
+    }
+  }
+  rs.pending = pending_from_name(entry.get_string("pending", "none"));
+  rs.target = entry.get_string("target");
+  rs.pending_check = entry.get_string("pendingCheck");
+  rs.exception_journaled = entry.get_bool("exceptionJournaled");
+  rs.pending_reason = entry.get_string("pendingReason");
+  if (strategy.terminal) {
+    // Snapshots written before strategies were retired carry the
+    // full definition instead of the precomputed sum.
+    const json::Value* specified = entry.find("specifiedNs");
+    strategy.specified =
+        specified != nullptr && specified->is_number()
+            ? runtime::Duration(
+                  static_cast<std::int64_t>(specified->as_number()))
+            : specified_duration(strategy.def, rs.history);
+  }
+  strategies_[id] = std::move(strategy);
   return {};
 }
 

@@ -8,20 +8,23 @@
 //    a tracker, then materializes executions from the result;
 //  - live: the Engine feeds every record it appends through its own
 //    tracker, which lets it periodically write compacted kSnapshot
-//    records (tracker state serialized to JSON) — replay then restarts
-//    from the last snapshot instead of record zero, keeping recovery
-//    O(recent) regardless of journal age.
+//    records (tracker state serialized to JSON) — replay then re-applies
+//    only the records after the last snapshot, not every record since
+//    record zero.
 //
-// A snapshot's size follows live work, not engine age: a strategy that
-// reached a terminal state is written as a retired summary (exactly
-// what Engine::status() reports about it) without its definition or
-// resume progress. Its definition stays only while a journaled apply
-// intent names it, because reconcile() finds the intent's ServiceDef
-// there — a set bounded by services x regions.
+// A snapshot holds only live work: epochs, the journaled apply intents,
+// and each non-terminal strategy's resume progress and history.
+// Everything else is journaled exactly once, where it arises: a
+// definition only in its kSubmit record, a retired strategy's summary
+// (exactly what Engine::status() reports about it) on its kFinished or
+// kAborted record. replay() gets both back with one pass over the
+// records before the newest snapshot. A retired strategy recovered from
+// an older journal, whose summary no record holds, stays in snapshots.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,11 +39,14 @@ namespace bifrost::engine {
 class StateTracker {
  public:
   struct Strategy {
-    /// Empty for a retired strategy loaded from a snapshot summary that
-    /// no apply intent names.
+    /// Empty for a retired strategy replayed from its summary that no
+    /// apply intent names.
     core::StrategyDef def;
     std::string name;
     bool terminal = false;  ///< finished or aborted; nothing to resume
+    /// A journaled terminal record holds the summary, so snapshots
+    /// leave the strategy out.
+    bool summary_journaled = false;
     ResumeState resume;
     /// Once terminal: sum of the specified durations of the transient
     /// states visited (the nominal time the enactment delay excludes).
@@ -60,11 +66,17 @@ class StateTracker {
   };
 
   /// Applies one record. kSnapshot resets the tracker to the snapshot's
-  /// state; kRecovered/kReconciled markers are ignored.
-  util::Result<void> apply(const JournalRecord& record);
+  /// contents alone (replay() adds what it leaves to earlier records);
+  /// kRecovered/kReconciled markers are ignored. `def`, for a kSubmit
+  /// record, is the validated definition the record serializes: the
+  /// live engine hands it over so the record's copy is not parsed back.
+  util::Result<void> apply(const JournalRecord& record,
+                           std::optional<core::StrategyDef> def = {});
 
-  /// Replays a full record sequence (a freshly read journal). Fast
-  /// path: scans for the last kSnapshot and replays from there.
+  /// Replays a full record sequence (a freshly read journal): indexes
+  /// the kSubmit records and journaled summaries before the newest
+  /// kSnapshot, loads it, parses the definitions of its live strategies
+  /// and intent owners, and applies the records after it.
   util::Result<void> replay(const std::vector<JournalRecord>& records);
 
   [[nodiscard]] const std::map<std::string, Strategy>& strategies() const {
@@ -92,13 +104,28 @@ class StateTracker {
   [[nodiscard]] std::uint64_t next_numeric_id() const { return next_id_; }
   [[nodiscard]] std::uint64_t records_seen() const { return records_seen_; }
 
+  /// The retired summary the engine adds to a strategy's terminal
+  /// record: what Engine::status() reports, plus `specifiedNs`. Null
+  /// for an unknown id.
+  [[nodiscard]] json::Value summary(const std::string& id) const;
+  /// Marks `id`'s summary as journaled (its terminal record was
+  /// appended): snapshots leave the strategy out from now on.
+  void mark_summary_journaled(const std::string& id) {
+    if (const auto it = strategies_.find(id); it != strategies_.end()) {
+      it->second.summary_journaled = true;
+    }
+  }
+
   /// Snapshot round-trip (the payload of kSnapshot records). Loading
-  /// also accepts snapshots that carry every strategy in full.
+  /// also accepts the older formats that carry definitions and retired
+  /// summaries, or every strategy in full.
   [[nodiscard]] json::Value to_snapshot() const;
   util::Result<void> load_snapshot(const json::Value& snapshot);
 
  private:
-  util::Result<void> apply_impl(const JournalRecord& record);
+  /// The one loader of a strategy entry: a snapshot entry, or the
+  /// summary a terminal record carries (`journaled`: always terminal).
+  util::Result<void> load_entry(const json::Value& entry, bool journaled);
 
   std::map<std::string, Strategy> strategies_;
   std::map<std::string, std::uint64_t> epochs_;

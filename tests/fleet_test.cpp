@@ -727,9 +727,11 @@ TEST(FleetAggregate, DeltaComparesCanaryAgainstWeightedFleetMean) {
 }
 
 // ---------------------------------------------------------------------------
-// A long-lived engine: ramps back to back. Snapshots retire finished
-// ramps to summaries, but a finished ramp whose fleet-wide push is still
-// the floor keeps its definition — reconcile converges regions to it.
+// A long-lived engine: ramps back to back. Snapshots hold only the live
+// ramp; finished ones are summaries on their terminal records. A
+// finished ramp whose fleet-wide push is still the floor gets its
+// definition back from its submit record on replay — reconcile
+// converges regions to it.
 
 TEST(FleetRetirement, FleetFloorOwnerKeepsItsDefinition) {
   const core::StrategyDef def = load_fleet_ramp();
@@ -760,10 +762,10 @@ TEST(FleetRetirement, FleetFloorOwnerKeepsItsDefinition) {
   for (const json::Value& entry : last->data.find("strategies")->as_array()) {
     has_def[entry.get_string("id")] = entry.find("def") != nullptr;
   }
-  EXPECT_FALSE(has_def["s-1"]);
-  EXPECT_FALSE(has_def["s-2"]);
-  EXPECT_TRUE(has_def["s-3"]);  // owns the fleet intent
-  EXPECT_TRUE(has_def["s-4"]);  // live
+  EXPECT_EQ(has_def, (std::map<std::string, bool>{{"s-4", false}}));
+  EXPECT_EQ(last->data.find("fleetIntents")->find("search")->get_string(
+                "strategyId"),
+            "s-3");  // the floor owner
 
   // A fresh engine reconciles fresh proxies to the same per-region
   // routing, and reports the retired ramps exactly as the original.

@@ -12,9 +12,12 @@
 // and re-emits byte-identical records.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <map>
+#include <random>
 #include <set>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -481,7 +484,15 @@ TEST(Retirement, LongLivedEngineRecoversEveryStrategy) {
   }
 }
 
-TEST(Retirement, SnapshotKeepsDefinitionsOnlyForLiveWorkAndIntentOwners) {
+/// Digits in `text`: numbers (epochs, ids, virtual times) legitimately
+/// grow longer along a run.
+std::size_t digit_count(const std::string& text) {
+  return static_cast<std::size_t>(
+      std::count_if(text.begin(), text.end(),
+                    [](char c) { return c >= '0' && c <= '9'; }));
+}
+
+TEST(Retirement, SnapshotsHoldOnlyLiveWork) {
   sim::Simulation sim(no_overhead());
   sim::SimMetricsClient metrics(sim, example_metrics(), zero_metric_costs());
   sim::SimProxyController proxies(sim, zero_proxy_costs());
@@ -490,62 +501,96 @@ TEST(Retirement, SnapshotKeepsDefinitionsOnlyForLiveWorkAndIntentOwners) {
   options.journal = &disk;
   options.snapshot_every = 4;  // a snapshot lands inside every state
   engine::Engine eng(sim, metrics, proxies, options);
-  run_back_to_back(eng, sim, alternating_examples(3));
-  auto live = eng.submit(load_example("fastsearch_rollout.yaml"));
-  ASSERT_TRUE(live.ok());
-  sim.run_until(sim.now() + runtime::Duration(90s));
-  ASSERT_EQ(eng.status(live.value())->status,
-            engine::ExecutionStatus::kRunning);
+  run_back_to_back(eng, sim, alternating_examples(20));
 
-  const engine::JournalRecord* last = nullptr;
+  // Largest snapshot (serialized) taken while each strategy was the
+  // newest one submitted.
+  std::map<int, std::string> largest;
+  int strategy = 0;
   for (const engine::JournalRecord& record : disk.records()) {
-    if (record.type == RecordType::kSnapshot) last = &record;
-  }
-  ASSERT_NE(last, nullptr);
-  std::set<std::string> owners;
-  for (const char* key : {"intents", "fleetIntents", "regionIntents"}) {
-    for (const auto& [name, intent] : last->data.find(key)->as_object()) {
-      owners.insert(intent.get_string("strategyId"));
+    if (record.type == RecordType::kSubmit) ++strategy;
+    if (record.type != RecordType::kSnapshot) continue;
+    for (const json::Value& entry :
+         record.data.find("strategies")->as_array()) {
+      SCOPED_TRACE(entry.get_string("id"));
+      // Definitions stay in kSubmit, retired summaries on terminal
+      // records: a snapshot holds live work only.
+      EXPECT_EQ(entry.find("def"), nullptr);
+      EXPECT_FALSE(entry.get_bool("terminal"));
+      EXPECT_NE(entry.find("pending"), nullptr);  // resume progress
+    }
+    std::string dumped = record.data.dump();
+    if (dumped.size() > largest[strategy].size()) {
+      largest[strategy] = std::move(dumped);
     }
   }
-  int retired_without_def = 0;
-  bool saw_live = false;
-  for (const json::Value& entry :
-       last->data.find("strategies")->as_array()) {
-    const std::string id = entry.get_string("id");
-    SCOPED_TRACE(id);
-    const bool terminal = entry.get_bool("terminal");
-    EXPECT_EQ(entry.find("def") != nullptr, !terminal || owners.count(id) > 0);
-    if (terminal) {
-      // A retired summary: what status() reports, nothing to resume.
-      EXPECT_NE(entry.find("specifiedNs"), nullptr);
-      EXPECT_NE(entry.find("history"), nullptr);
-      EXPECT_EQ(entry.find("applies"), nullptr);
-      EXPECT_EQ(entry.find("checks"), nullptr);
-      EXPECT_EQ(entry.find("pending"), nullptr);
-      if (entry.find("def") == nullptr) ++retired_without_def;
+  ASSERT_EQ(strategy, 20);
+  ASSERT_FALSE(largest[2].empty());
+  ASSERT_FALSE(largest[20].empty());
+  // Strategies 2 and 20 are the same example after the same one: the
+  // twentieth's snapshots may be larger only by longer numbers.
+  EXPECT_LE(largest[20].size() - digit_count(largest[20]),
+            largest[2].size() - digit_count(largest[2]));
+}
+
+// The live tracker takes each submitted definition as validated, while
+// replay parses it from the kSubmit record. Both must write the same
+// bytes: every snapshot equals that of a tracker replayed from the
+// journal before it, and every terminal record's summary equals what a
+// replay up to that record reports.
+TEST(Retirement, LiveSnapshotsAndSummariesMatchReplay) {
+  sim::Simulation sim(no_overhead());
+  sim::SimMetricsClient metrics(sim, example_metrics(), zero_metric_costs());
+  sim::SimProxyController proxies(sim, zero_proxy_costs());
+  engine::MemoryJournal disk;
+  engine::Engine::Options options;
+  options.journal = &disk;
+  options.snapshot_every = kDenseSnapshots;
+  engine::Engine eng(sim, metrics, proxies, options);
+  run_back_to_back(eng, sim, alternating_examples(4));
+
+  const std::vector<engine::JournalRecord>& records = disk.records();
+  int snapshots = 0;
+  int summaries = 0;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const bool snapshot = records[i].type == RecordType::kSnapshot;
+    const json::Value* summary = records[i].data.find("summary");
+    if (!snapshot && summary == nullptr) continue;
+    SCOPED_TRACE("journal record " + std::to_string(i));
+    const auto end = records.begin() + static_cast<std::ptrdiff_t>(
+                                           snapshot ? i : i + 1);
+    engine::StateTracker tracker;
+    ASSERT_TRUE(tracker.replay({records.begin(), end}).ok());
+    if (snapshot) {
+      EXPECT_EQ(tracker.to_snapshot().dump(), records[i].data.dump());
+      ++snapshots;
     } else {
-      saw_live = saw_live || id == live.value();
-      EXPECT_NE(entry.find("applies"), nullptr);
-      EXPECT_NE(entry.find("pending"), nullptr);
+      EXPECT_EQ(tracker.summary(records[i].data.get_string("id")).dump(),
+                summary->dump());
+      ++summaries;
     }
   }
-  EXPECT_TRUE(saw_live);
-  EXPECT_EQ(retired_without_def, 3);  // the live strategy owns "search"
-  EXPECT_EQ(owners, std::set<std::string>{live.value()});
+  EXPECT_GT(snapshots, 10);
+  EXPECT_EQ(summaries, 4);
 }
 
 /// The snapshot an engine wrote before finished strategies were retired:
 /// every strategy in full, with definition and (empty) resume progress.
+/// Built from the tracker's live entries, its retired summaries and the
+/// definitions.
 json::Value old_format_snapshot(
-    const json::Value& snapshot,
+    const engine::StateTracker& tracker,
     const std::map<std::string, core::StrategyDef>& defs) {
-  json::Value old = snapshot;
-  for (json::Value& entry : old.as_object()["strategies"].as_array()) {
+  json::Value old = tracker.to_snapshot();
+  json::Array& entries = old.as_object()["strategies"].as_array();
+  for (const auto& [id, strategy] : tracker.strategies()) {
+    if (strategy.terminal) entries.push_back(tracker.summary(id));
+  }
+  for (json::Value& entry : entries) {
     json::Object& fields = entry.as_object();
+    fields["def"] = core::strategy_to_json(defs.at(fields["id"].as_string()));
     if (!fields["terminal"].as_bool()) continue;
     fields.erase("specifiedNs");
-    fields["def"] = core::strategy_to_json(defs.at(fields["id"].as_string()));
     fields["applies"] = json::Array{};
     fields["checks"] = json::Array{};
     fields["pending"] = "none";
@@ -595,8 +640,11 @@ TEST(Retirement, OldFormatSnapshotStillReplays) {
   }
   engine::StateTracker tracker;
   ASSERT_TRUE(tracker.replay(disk.records()).ok());
-  const json::Value old = old_format_snapshot(tracker.to_snapshot(), by_id);
-  ASSERT_NE(old.find("strategies")->as_array()[0].find("def"), nullptr);
+  const json::Value old = old_format_snapshot(tracker, by_id);
+  ASSERT_EQ(old.find("strategies")->as_array().size(), 2u);
+  for (const json::Value& entry : old.find("strategies")->as_array()) {
+    ASSERT_NE(entry.find("def"), nullptr);
+  }
 
   options.journal = &disk;
   engine::Engine eng(sim, metrics, proxies, options);
@@ -710,6 +758,234 @@ TEST(Retirement, RefusedSnapshotIsReportedAndReplayUsesRecords) {
   engine::Engine recovered(sim, metrics, proxies, options);
   ASSERT_TRUE(recovered.recover(disk.records()).ok());
   expect_same_list(recovered, original);
+}
+
+// ---------------------------------------------------------------------------
+// A journal in the previous on-disk format: snapshots that carry retired
+// summaries and the definitions of live strategies and intent owners,
+// terminal records without a summary. The engine of that format wrote
+// tests/golden/retired_summary_snapshots.journal from the two examples
+// (no costs, a snapshot every 8 records): darklaunch finished, then
+// fastsearch-rollout ran for 5000 s of virtual time, into its first
+// state.
+
+constexpr runtime::Time kGoldenWrittenAt = 5060s;
+
+std::vector<std::string> status_lines(const engine::Engine& eng) {
+  std::vector<std::string> lines;
+  for (const engine::StrategySnapshot& s : eng.list()) {
+    std::ostringstream line;
+    line << s.id << "|" << s.name << "|"
+         << engine::execution_status_name(s.status) << "|" << s.current_state
+         << "|" << s.transitions << "|" << s.checks_executed << "|"
+         << s.started_seconds << "|" << s.finished_seconds << "|"
+         << s.history.size() << "|" << s.enactment_delay_seconds;
+    lines.push_back(line.str());
+  }
+  return lines;
+}
+
+/// "epoch=N version=percent ..." per service.
+std::map<std::string, std::string> splits_of(
+    const sim::SimProxyController& proxies) {
+  std::map<std::string, std::string> splits;
+  for (const auto& [service, view] : proxies.states()) {
+    std::string line = "epoch=" + std::to_string(view.epoch);
+    for (const proxy::BackendTarget& backend : view.config.backends) {
+      line += " " + backend.version + "=" + std::to_string(backend.percent);
+    }
+    splits[service] = line;
+  }
+  return splits;
+}
+
+TEST(Retirement, SummarySnapshotJournalRecoversAndUpgrades) {
+  auto read = engine::read_journal_file(std::string(BIFROST_GOLDEN_DIR) +
+                                        "/retired_summary_snapshots.journal");
+  ASSERT_TRUE(read.ok()) << read.error_message();
+  ASSERT_FALSE(read.value().truncated_tail);
+  const std::vector<engine::JournalRecord> golden = read.value().records;
+  ASSERT_EQ(golden.size(), 34u);
+  ASSERT_EQ(count_snapshots(golden), 3u);
+
+  sim::Simulation sim(no_overhead());
+  sim::SimMetricsClient metrics(sim, example_metrics(), zero_metric_costs());
+  sim::SimProxyController proxies(sim, zero_proxy_costs());
+  sim.run_until(kGoldenWrittenAt);
+  engine::MemoryJournal disk;
+  for (const engine::JournalRecord& record : golden) {
+    ASSERT_TRUE(disk.append(record.type, record.data).ok());
+  }
+  engine::Engine::Options options;
+  options.journal = &disk;
+  options.snapshot_every = 4;  // a snapshot follows every terminal record
+  engine::Engine eng(sim, metrics, proxies, options);
+  ASSERT_TRUE(eng.recover(golden).ok());
+  ASSERT_TRUE(eng.reconcile().ok());
+  EXPECT_EQ(status_lines(eng),
+            (std::vector<std::string>{
+                "s-1|fastsearch-darklaunch|succeeded|done|1|0|0|60|2|0",
+                "s-2|fastsearch-rollout|running|canary-1|0|16|60|0|1|0"}));
+  EXPECT_EQ(splits_of(proxies),
+            (std::map<std::string, std::string>{
+                {"search", "epoch=3 stable=99.000000 fast=1.000000"}}));
+
+  // The upgrade path: the recovered engine finishes the rollout and runs
+  // one more strategy, writing snapshots in the new format. s-1's
+  // summary is on no record, so those snapshots keep it.
+  sim.run_all();
+  ASSERT_TRUE(eng.submit(load_example("darklaunch.yaml")).ok());
+  sim.run_all();
+  ASSERT_EQ(eng.status("s-2")->status, engine::ExecutionStatus::kSucceeded);
+  ASSERT_EQ(eng.status("s-3")->status, engine::ExecutionStatus::kSucceeded);
+  std::size_t written = 0;
+  std::size_t s2_finished = 0;
+  std::size_t newest_snapshot = 0;
+  for (std::size_t i = golden.size(); i < disk.records().size(); ++i) {
+    const engine::JournalRecord& record = disk.records()[i];
+    if (record.type == RecordType::kFinished &&
+        record.data.get_string("id") == "s-2") {
+      s2_finished = i;
+    }
+    if (record.type != RecordType::kSnapshot) continue;
+    ++written;
+    newest_snapshot = i;
+    for (const json::Value& entry :
+         record.data.find("strategies")->as_array()) {
+      EXPECT_EQ(entry.find("def"), nullptr);
+      EXPECT_TRUE(!entry.get_bool("terminal") ||
+                  entry.get_string("id") == "s-1");
+    }
+  }
+  EXPECT_GT(written, 2u);
+  // The second recovery reads s-2's summary from its terminal record.
+  EXPECT_GT(newest_snapshot, s2_finished);
+
+  sim::SimProxyController fresh(sim, zero_proxy_costs());
+  engine::MemoryJournal marker_log;
+  options.journal = &marker_log;
+  engine::Engine again(sim, metrics, fresh, options);
+  ASSERT_TRUE(again.recover(disk.records()).ok());
+  ASSERT_TRUE(again.reconcile().ok());
+  expect_same_list(again, eng);
+  EXPECT_EQ(routing_of(fresh), routing_of(proxies));
+}
+
+// ---------------------------------------------------------------------------
+// Journal oracle: the loader survives bad input. Seeded mutations of
+// what replay reads besides the records it re-applies — the summaries
+// on terminal records, a snapshot's strategy entries, and the kSubmit
+// records a snapshot relies on — must make recover() return an error or
+// a state, never crash (the suite also runs under ASan/UBSan).
+
+/// A value of a different JSON type than `value`.
+json::Value other_type(const json::Value& value, std::uint64_t pick) {
+  std::vector<json::Value> others;
+  if (!value.is_null()) others.emplace_back(nullptr);
+  if (!value.is_bool()) others.emplace_back(true);
+  if (!value.is_number()) others.emplace_back(7.0);
+  if (!value.is_string()) others.emplace_back("x");
+  if (!value.is_array()) others.emplace_back(json::Array{json::Value(1.0)});
+  if (!value.is_object()) others.emplace_back(json::Object{{"k", 1.0}});
+  return others[pick % others.size()];
+}
+
+/// Drops a key, changes a field's type, or truncates: keeps half of
+/// the keys, or half of the history.
+void mutate_entry(json::Value& entry, std::mt19937_64& rng) {
+  if (!entry.is_object() || entry.as_object().empty()) return;
+  json::Object& fields = entry.as_object();
+  auto field = std::next(fields.begin(),
+                         static_cast<std::ptrdiff_t>(rng() % fields.size()));
+  switch (rng() % 4) {
+    case 0:
+      fields.erase(field);
+      break;
+    case 1:
+      field->second = other_type(field->second, rng());
+      break;
+    case 2:
+      while (fields.size() > 1 && rng() % 2 == 0) {
+        fields.erase(std::prev(fields.end()));
+      }
+      break;
+    default:
+      if (auto it = fields.find("history");
+          it != fields.end() && it->second.is_array()) {
+        json::Array& visits = it->second.as_array();
+        visits.resize(visits.size() / 2);
+      }
+      break;
+  }
+}
+
+TEST(JournalOracle, MutatedSummariesEntriesAndSubmitsNeverCrashRecovery) {
+  // Every shape replay reads: retired summaries on terminal records, a
+  // live strategy and intents in the newest snapshot.
+  sim::Simulation base_sim(no_overhead());
+  sim::SimMetricsClient base_metrics(base_sim, example_metrics(),
+                                     zero_metric_costs());
+  sim::SimProxyController base_proxies(base_sim, zero_proxy_costs());
+  engine::MemoryJournal base_disk;
+  engine::Engine::Options options;
+  options.journal = &base_disk;
+  options.snapshot_every = kDenseSnapshots;
+  {
+    engine::Engine eng(base_sim, base_metrics, base_proxies, options);
+    run_back_to_back(eng, base_sim, alternating_examples(3));
+    ASSERT_TRUE(eng.submit(load_example("fastsearch_rollout.yaml")).ok());
+    base_sim.run_until(base_sim.now() + runtime::Duration(5000s));
+  }
+  const std::vector<engine::JournalRecord> base = base_disk.records();
+  std::vector<std::size_t> sites;
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    if (base[i].type == RecordType::kSubmit ||
+        base[i].type == RecordType::kSnapshot ||
+        base[i].data.find("summary") != nullptr) {
+      sites.push_back(i);
+    }
+  }
+  ASSERT_GT(count_snapshots(base), 10u);
+
+  std::mt19937_64 rng(20261020);
+  int errors = 0;
+  int states = 0;
+  for (int round = 0; round < 200; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    std::vector<engine::JournalRecord> mutated = base;
+    std::set<std::size_t> removed;
+    for (std::uint64_t m = 1 + rng() % 3; m > 0; --m) {
+      const std::size_t site = sites[rng() % sites.size()];
+      json::Object& data = mutated[site].data.as_object();
+      if (mutated[site].type == RecordType::kSubmit) {
+        removed.insert(site);
+      } else if (mutated[site].type == RecordType::kSnapshot) {
+        json::Array& entries = data["strategies"].as_array();
+        if (!entries.empty()) mutate_entry(entries[rng() % entries.size()], rng);
+      } else {
+        mutate_entry(data["summary"], rng);
+      }
+    }
+    std::vector<engine::JournalRecord> records;
+    for (std::size_t i = 0; i < mutated.size(); ++i) {
+      if (removed.count(i) == 0) records.push_back(std::move(mutated[i]));
+    }
+    sim::Simulation sim(no_overhead());
+    sim::SimMetricsClient metrics(sim, example_metrics(), zero_metric_costs());
+    sim::SimProxyController proxies(sim, zero_proxy_costs());
+    engine::MemoryJournal marker_log;
+    options.journal = &marker_log;
+    engine::Engine eng(sim, metrics, proxies, options);
+    if (!eng.recover(records).ok()) {
+      ++errors;
+      continue;
+    }
+    ++states;
+    (void)eng.reconcile();
+    (void)eng.list();
+  }
+  EXPECT_GT(errors, 0);
+  EXPECT_GT(states, 0);
 }
 
 // ---------------------------------------------------------------------------
